@@ -1,10 +1,10 @@
 """Symmetries, bi-Hamiltonian structures and ghost-free reformulations of the
 fourth-order Pais-Uhlenbeck oscillator."""
 
-from .core import (OstrogradskyState, PhaseState, PoissonTensor, PuParams,
-                   QuadHamiltonian, companion_field, flow_residual,
-                   hamiltonian_h1, hamiltonian_h2, ostrogradsky_hamiltonian,
-                   ostrogradsky_map, poisson_j1, poisson_j2, quad_bracket)
+from .core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
+                   companion_field, flow_residual, hamiltonian_h1,
+                   hamiltonian_h2, ostrogradsky_hamiltonian,
+                   ostrogradsky_matrix, poisson_j1, poisson_j2, quad_bracket)
 from .dynamics import (ClassicalSolution, LinearField, Potential,
                        PotentialField, Trajectory, conservation_report,
                        eval_solution, integrate, interaction_compatibility,

@@ -148,25 +148,8 @@ class PoissonTensor:
     def __setattr__(self, name, value):
         raise AttributeError("PoissonTensor is immutable")
 
-    def bracket_basis(self, i: int, j: int) -> float:
-        """{v_i, v_j} for the coordinate functions themselves."""
-        return float(self.matrix[i, j])
-
     def __repr__(self):
         return f"PoissonTensor({self.matrix.tolist()})"
-
-
-@dataclass(frozen=True)
-class OstrogradskyState:
-    """Canonical variables (q1, q2, pi1, pi2) of the first-order system."""
-
-    q1: float
-    q2: float
-    pi1: float
-    pi2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q1, self.q2, self.pi1, self.pi2])
 
 
 def companion_field(p: PuParams) -> np.ndarray:
@@ -236,19 +219,19 @@ def quad_bracket(j: PoissonTensor, f: QuadHamiltonian, g: QuadHamiltonian) -> Qu
 
     With F = v^T Sf v / 2 the gradient is Sf v, so {F,G}(v) = v^T Sf J Sg v,
     whose symmetric matrix in the 1/2 v^T S v convention is
-    Sf J Sg - Sg J Sf (pointwise equal to grad F . J . grad G).
+    Sf J Sg - Sg J Sf (pointwise equal to grad F . J . grad G).  That
+    difference is symmetric only up to rounding on the scale of the operands,
+    which a near-zero bracket of commuting charges cannot absorb, so it is
+    symmetrized before the form is built.
     """
     sf, sg, jm = f.matrix, g.matrix, j.matrix
-    return QuadHamiltonian(sf @ jm @ sg - sg @ jm @ sf)
-
-
-def ostrogradsky_map(p: PuParams, v: PhaseState) -> OstrogradskyState:
-    """Canonical variables: q1=q, q2=qd, pi1=-qddd-alpha*qd, pi2=qdd."""
-    return OstrogradskyState(v.q, v.qd, -v.qddd - p.alpha * v.qd, v.qdd)
+    b = sf @ jm @ sg - sg @ jm @ sf
+    return QuadHamiltonian(0.5 * (b + b.T))
 
 
 def ostrogradsky_matrix(p: PuParams) -> np.ndarray:
-    """Linear map T with (q1, q2, pi1, pi2) = T (q, qd, qdd, qddd)."""
+    """Linear map T with (q1, q2, pi1, pi2) = T (q, qd, qdd, qddd):
+    q1 = q, q2 = qd, pi1 = -qddd - alpha qd, pi2 = qdd."""
     return np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],

@@ -372,7 +372,9 @@ def structure_discovery(p: PuParams, tol: float = 1e-12,
         if svals[-1] <= 0.0 or svals[0] / svals[-1] > cond_limit:
             skipped.append(k)
             continue
-        j = PoissonTensor(inverse(k))
+        # the inverse is antisymmetric only to about cond(k) * eps
+        jinv = inverse(k)
+        j = PoissonTensor(0.5 * (jinv - jinv.T))
         s = k @ m
         pairs.append((j, QuadHamiltonian(0.5 * (s + s.T), sym_tol=1e-9)))
     return DiscoveryResult(pairs=pairs, kernels=kernels, skipped=skipped)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PoissonTensor, PuParams, QuadHamiltonian,
-                   hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2)
+                   hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2,
+                   quad_bracket)
 from .errors import (DecompositionUndefinedError, DegenerateCombinationError,
                      InvalidInputError, ParameterDomainError,
                      RecursionBreakdownError)
@@ -156,13 +157,14 @@ def combine(p: PuParams, c1: float, c2: float, tol: float = 1e-10) -> CombinedSt
     return CombinedStructure(c1, c2, c3, c4, jbar, hbar)
 
 
-def _pd_frequencies(p: PuParams) -> tuple[float, float]:
+def _pd_squared_frequencies(p: PuParams) -> tuple[float, float]:
+    """(w1^2, w2^2) where the square-piece decomposition is defined."""
     w1, w2 = p.frequencies()
     if p.degenerate:
         raise DecompositionUndefinedError("decomposition undefined at equal frequencies")
     if w1 == 0.0 or w2 == 0.0:
         raise DecompositionUndefinedError("decomposition undefined at zero frequency")
-    return w1, w2
+    return w1 * w1, w2 * w2
 
 
 def _square_piece(prefactor: float, wi_sq: float, wj_sq: float) -> QuadHamiltonian:
@@ -175,8 +177,7 @@ def _square_piece(prefactor: float, wi_sq: float, wj_sq: float) -> QuadHamiltoni
 def pd_decompose(p: PuParams, c1: float, c2: float) -> PdDecomposition:
     """Split Hbar(c1, c2) into the two square pieces H12 + H21 with prefactors
     w_i^2 / ((c1 w_i^2 - c2)(w_i^2 - w_j^2))."""
-    w1, w2 = _pd_frequencies(p)
-    w1sq, w2sq = w1 * w1, w2 * w2
+    w1sq, w2sq = _pd_squared_frequencies(p)
     pref12 = w1sq / ((c1 * w1sq - c2) * (w1sq - w2sq))
     pref21 = w2sq / ((c1 * w2sq - c2) * (w2sq - w1sq))
     return PdDecomposition(
@@ -190,15 +191,13 @@ def pd_decompose(p: PuParams, c1: float, c2: float) -> PdDecomposition:
 def pd_window(p: PuParams, c1: float, c2: float) -> bool:
     """True iff Hbar(c1, c2) is positive definite:
     (c1 w1^2 - c2)(w1^2 - w2^2) > 0 and (c1 w2^2 - c2)(w2^2 - w1^2) > 0."""
-    w1, w2 = _pd_frequencies(p)
-    w1sq, w2sq = w1 * w1, w2 * w2
+    w1sq, w2sq = _pd_squared_frequencies(p)
     return ((c1 * w1sq - c2) * (w1sq - w2sq) > 0.0
             and (c1 * w2sq - c2) * (w2sq - w1sq) > 0.0)
 
 
 def involution_residual(p: PuParams, depth: int = 5) -> float:
     """Largest bracket norm among {H_i, H_j} under both tensors, i,j <= depth."""
-    from .core import quad_bracket
     ladder = charge_ladder(p, depth).charges
     j1, j2 = poisson_j1(p), poisson_j2(p)
     worst = 0.0

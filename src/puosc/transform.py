@@ -18,10 +18,9 @@ import numpy as np
 from .core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
                    hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2)
 from .errors import (ComplexBranchError, ConstructionError,
-                     DecompositionUndefinedError, DegenerateLegendreError,
-                     InvalidInputError, NonInvertibleTransformError,
-                     SingularStructureError)
-from .hierarchy import coefficients_on_h1h2
+                     DegenerateLegendreError, InvalidInputError,
+                     NonInvertibleTransformError, SingularStructureError)
+from .hierarchy import _pd_squared_frequencies, _square_piece, coefficients_on_h1h2
 
 KINDS = ("Ta1+", "Ta1-", "Ta2+", "Ta2-", "Tb1", "Tb2+", "Tb2-")
 
@@ -47,17 +46,6 @@ class XYState:
 
 
 @dataclass(frozen=True)
-class RhoContext:
-    """The square-root abbreviations entering the catalog formulas."""
-
-    rho_g_plus: float
-    rho_g_minus: float
-    rho0_plus: float
-    rho0_minus: float
-    tau: float
-
-
-@dataclass(frozen=True)
 class TransformSpec:
     kind: str
     mu: tuple[float, float, float]
@@ -79,18 +67,8 @@ def _sqrt_or_raise(radicand: float, what: str) -> float:
     return math.sqrt(radicand)
 
 
-def rho_context(p: PuParams, ax: float, ay: float, bx: float, g: float) -> RhoContext:
-    """rho_g = +-sqrt(alpha^2 - 4 beta - 4 g^2/(ax ay)),
-    tau = bx^2 - ax bx alpha + ax^2 beta."""
-    if ax == 0.0 or ay == 0.0:
-        raise ConstructionError("rho_g needs ax != 0 and ay != 0")
-    r0 = _sqrt_or_raise(p.alpha ** 2 - 4.0 * p.beta, "rho_0")
-    rg = _sqrt_or_raise(p.alpha ** 2 - 4.0 * p.beta - 4.0 * g * g / (ax * ay), "rho_g")
-    tau = bx * bx - ax * bx * p.alpha + ax * ax * p.beta
-    return RhoContext(rg, -rg, r0, -r0, tau)
-
-
 def tau_of(p: PuParams, ax: float, bx: float) -> float:
+    """tau = bx^2 - ax bx alpha + ax^2 beta."""
     return bx * bx - ax * bx * p.alpha + ax * ax * p.beta
 
 
@@ -361,21 +339,6 @@ class TransformedPdDecomposition:
     h21_xy: QuadHamiltonian
 
 
-def _pd_check(p: PuParams) -> tuple[float, float]:
-    w1, w2 = p.frequencies()
-    if p.degenerate:
-        raise DecompositionUndefinedError("decomposition undefined at equal frequencies")
-    if w1 == 0.0 or w2 == 0.0:
-        raise DecompositionUndefinedError("decomposition undefined at zero frequency")
-    return w1 * w1, w2 * w2
-
-
-def _q_piece(pref: float, wi_sq: float, wj_sq: float) -> QuadHamiltonian:
-    u = np.array([0.0, wj_sq, 0.0, 1.0])
-    w = np.array([wj_sq, 0.0, 1.0, 0.0])
-    return QuadHamiltonian(2.0 * pref * (np.outer(u, u) + wi_sq * np.outer(w, w)))
-
-
 def _xy_pieces(spec: TransformSpec, pieces_q: tuple[QuadHamiltonian, QuadHamiltonian]
                ) -> tuple[QuadHamiltonian, QuadHamiltonian]:
     """Transport q-variable pieces to (x, y, px, py) through the inverse map."""
@@ -411,7 +374,7 @@ def pd_decompose_transformed(kind: str, p: PuParams, *, g: float | None = None,
     pieces carry (bx - w_j^2)/(2 w_i^2 - 2 w_j^2) (the squared-frequency
     reading, fixed by reassembly against the pullback Hamiltonian).
     """
-    w1sq, w2sq = _pd_check(p)
+    w1sq, w2sq = _pd_squared_frequencies(p)
     if kind == "Ta2":
         if g is None:
             raise InvalidInputError("Ta2 decomposition needs g")
@@ -427,8 +390,8 @@ def pd_decompose_transformed(kind: str, p: PuParams, *, g: float | None = None,
         pref21 = (bx - w1sq) / (2.0 * (w2sq - w1sq))
     else:
         raise InvalidInputError(f"no decomposition for kind {kind!r}")
-    h12_q = _q_piece(pref12, w1sq, w2sq)
-    h21_q = _q_piece(pref21, w2sq, w1sq)
+    h12_q = _square_piece(2.0 * pref12, w1sq, w2sq)
+    h21_q = _square_piece(2.0 * pref21, w2sq, w1sq)
     h12_xy, h21_xy = _xy_pieces(spec, (h12_q, h21_q))
     return TransformedPdDecomposition(spec, h12_q, h21_q, h12_xy, h21_xy)
 
@@ -440,7 +403,7 @@ def pd_window_transformed(kind: str, p: PuParams, *, g: float | None = None,
     Ta2 (ax = ay = 1): |2g| < |w1^2 - w2^2| with both frequencies nonzero.
     Tb1 (ax = 1): bx strictly between w1^2 and w2^2.
     """
-    w1sq, w2sq = _pd_check(p)
+    w1sq, w2sq = _pd_squared_frequencies(p)
     if kind == "Ta2":
         if g is None:
             raise InvalidInputError("Ta2 window needs g")

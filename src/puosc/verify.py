@@ -14,11 +14,12 @@ from typing import Callable
 import numpy as np
 
 from . import dynamics, hierarchy, linalg, symmetry, transform
-from .core import (PhaseState, PuParams, canonical_tensor, companion_field,
-                   flow_residual, hamiltonian_h1, hamiltonian_h2,
-                   ostrogradsky_hamiltonian, ostrogradsky_matrix, poisson_j1,
-                   poisson_j2)
+from .core import (PhaseState, PoissonTensor, PuParams, canonical_tensor,
+                   companion_field, flow_residual, hamiltonian_h1,
+                   hamiltonian_h2, ostrogradsky_hamiltonian, ostrogradsky_matrix,
+                   poisson_j1, poisson_j2)
 from .errors import PuError, SingularStructureError
+from .modes import d_dt, eval_terms
 
 RESOLVED = {
     "combined-structure-coefficient-numerator":
@@ -65,18 +66,40 @@ class CheckResult:
     samples: int
 
 
-def _random_params(rng, beta_floor: float = 0.1) -> PuParams:
+def random_params(rng, beta_floor: float = 0.1) -> PuParams:
+    """alpha in [-3, 3], |beta| in [beta_floor, 3] with a random sign."""
     alpha = rng.uniform(-3.0, 3.0)
     beta = rng.uniform(beta_floor, 3.0) * rng.choice([-1.0, 1.0])
     return PuParams(alpha, beta)
 
 
-def _random_freq_params(rng, sep: float = 0.1) -> PuParams:
+def random_freq_params(rng, sep: float = 0.1) -> PuParams:
+    """Frequencies in [0.4, 2.5] whose squares differ by at least sep."""
     while True:
         w1 = rng.uniform(0.4, 2.5)
         w2 = rng.uniform(0.4, 2.5)
         if abs(w1 * w1 - w2 * w2) >= sep:
             return PuParams.from_frequencies(w1, w2)
+
+
+def admissible_spec(kind: str, p: PuParams, rng) -> transform.TransformSpec:
+    """A catalog transformation at drawn free parameters; raises PuError
+    when the draw hits an excluded value or a complex branch."""
+    ax = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
+    ay = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
+    g = float(rng.uniform(-0.5, 0.5))
+    if kind.startswith("Ta"):
+        return transform.build(kind, p, ax=ax, ay=ay, g=g)
+    if kind == "Tb1":
+        return transform.build(kind, p, ax=ax, bx=float(rng.uniform(-3.0, 3.0)),
+                               g=g if g != 0.0 else 0.3)
+    return transform.build(kind, p, ax=ax,
+                           by=float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])), g=g)
+
+
+def _nondegenerate(p: PuParams) -> PuParams:
+    """p itself, or omega = (2, 1) for the checks that need distinct frequencies."""
+    return p if not p.degenerate else PuParams.from_frequencies(2.0, 1.0)
 
 
 def _check_kernels(p, rng, tol):
@@ -96,7 +119,7 @@ def _check_kernels(p, rng, tol):
 def _check_commutant(p, rng, tol):
     worst = 0.0
     for _ in range(25):
-        pp = _random_params(rng)
+        pp = random_params(rng)
         basis = symmetry.solve_symmetries(pp)
         if len(basis) != 4:
             return False, float(len(basis)), 25
@@ -112,7 +135,7 @@ def _check_commutant(p, rng, tol):
 def _check_abelian(p, rng, tol):
     worst = 0.0
     for _ in range(25):
-        pp = _random_params(rng)
+        pp = random_params(rng)
         gens = symmetry.standard_basis(pp)
         for gi in gens:
             for gj in gens:
@@ -124,7 +147,7 @@ def _check_abelian(p, rng, tol):
 def _check_flow_pairs(p, rng, tol):
     worst = 0.0
     for _ in range(100):
-        pp = _random_params(rng)
+        pp = random_params(rng)
         worst = max(worst, flow_residual(poisson_j1(pp), hamiltonian_h1(pp), pp))
         worst = max(worst, flow_residual(poisson_j2(pp), hamiltonian_h2(pp), pp))
     return worst <= 1e-12, worst, 100
@@ -133,7 +156,7 @@ def _check_flow_pairs(p, rng, tol):
 def _check_ostrogradsky(p, rng, tol):
     worst = 0.0
     for _ in range(50):
-        pp = _random_params(rng)
+        pp = random_params(rng)
         t = ostrogradsky_matrix(pp)
         worst = max(worst, float(np.max(np.abs(
             t.T @ ostrogradsky_hamiltonian(pp).matrix @ t - hamiltonian_h1(pp).matrix))))
@@ -146,7 +169,7 @@ def _check_ostrogradsky(p, rng, tol):
 def _check_involution(p, rng, tol):
     worst = 0.0
     for _ in range(20):
-        pp = _random_params(rng)
+        pp = random_params(rng)
         worst = max(worst, hierarchy.involution_residual(pp, depth=5))
     return worst <= 1e-10, worst, 20
 
@@ -154,7 +177,7 @@ def _check_involution(p, rng, tol):
 def _check_recursion(p, rng, tol):
     worst = 0.0
     for _ in range(25):
-        pp = _random_params(rng)
+        pp = random_params(rng)
         ladder = hierarchy.charge_ladder(pp, 4).charges
         c3 = hierarchy.coefficients_on_h1h2(pp, ladder[2])
         c4 = hierarchy.coefficients_on_h1h2(pp, ladder[3])
@@ -167,7 +190,7 @@ def _check_recursion(p, rng, tol):
 def _check_ladder_routes(p, rng, tol):
     worst = 0.0
     for _ in range(25):
-        pp = _random_params(rng)
+        pp = random_params(rng)
         if abs(pp.alpha) < 0.1:
             continue
         ladder = hierarchy.charge_ladder(pp, 7).charges
@@ -183,7 +206,7 @@ def _check_ladder_routes(p, rng, tol):
 def _check_x4_pair(p, rng, tol):
     worst = 0.0
     for _ in range(50):
-        pp = _random_params(rng)
+        pp = random_params(rng)
         hb1, hb2 = hierarchy.x4_pair(pp)
         a4 = symmetry.standard_basis(pp)[3].matrix
         worst = max(worst, float(np.linalg.norm(poisson_j1(pp).matrix @ hb1.matrix - a4)))
@@ -195,7 +218,7 @@ def _check_combined_flow(p, rng, tol):
     worst = 0.0
     n = 0
     while n < 200:
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         c1, c2 = rng.uniform(-3.0, 3.0, 2)
         try:
             cs = hierarchy.combine(pp, c1, c2)
@@ -210,7 +233,7 @@ def _check_pd_window(p, rng, tol):
     mismatches = 0
     n = 0
     while n < 200:
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         c1, c2 = rng.uniform(-3.0, 3.0, 2)
         w1, w2 = pp.frequencies()
         b1 = (c1 * w1 * w1 - c2) * (w1 * w1 - w2 * w2)
@@ -229,7 +252,7 @@ def _check_pd_window(p, rng, tol):
     # axis draws never pass
     axis_ok = True
     for _ in range(20):
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         if hierarchy.pd_window(pp, 0.0, float(rng.uniform(0.2, 3.0))):
             axis_ok = False
         if hierarchy.pd_window(pp, float(rng.uniform(0.2, 3.0)), 0.0):
@@ -249,7 +272,7 @@ def _check_pd_decompose(p, rng, tol):
     worst = 0.0
     n = 0
     while n < 50:
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         c1, c2 = rng.uniform(-3.0, 3.0, 2)
         try:
             cs = hierarchy.combine(pp, c1, c2)
@@ -271,7 +294,7 @@ def _check_flows(p, rng, tol):
                 w = float(rng.uniform(0.5, 2.0))
                 pp = PuParams.from_frequencies(w, w)
             else:
-                pp = _random_freq_params(rng)
+                pp = random_freq_params(rng)
             gens = symmetry.standard_basis(pp)
             amps = rng.uniform(-1.0, 1.0, 4)
             t = float(rng.uniform(0.0, 10.0))
@@ -293,14 +316,13 @@ def _check_solution_ode(p, rng, tol):
                 w = float(rng.uniform(0.5, 2.0))
                 pp = PuParams.from_frequencies(w, w)
             else:
-                pp = _random_freq_params(rng)
+                pp = random_freq_params(rng)
             sol = dynamics.ClassicalSolution(pp, tuple(rng.uniform(-1.0, 1.0, 4)), regime)
             t = float(rng.uniform(0.0, 10.0))
             v = dynamics.eval_solution(sol, t)
             m = companion_field(pp)
             vdot_last = float((m @ v.as_array())[3])
             # q'''' from one more exact derivative
-            from .modes import d_dt, eval_terms
             terms = symmetry.solution_terms(regime, sol.amplitudes, pp)
             for _ in range(4):
                 terms = d_dt(terms)
@@ -309,28 +331,15 @@ def _check_solution_ode(p, rng, tol):
     return worst <= 1e-9, worst, 100
 
 
-def _admissible_spec(kind, pp, rng):
-    ax = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-    ay = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-    g = float(rng.uniform(-0.5, 0.5))
-    if kind.startswith("Ta"):
-        return transform.build(kind, pp, ax=ax, ay=ay, g=g)
-    if kind == "Tb1":
-        return transform.build(kind, pp, ax=ax, bx=float(rng.uniform(-3.0, 3.0)),
-                               g=g if g != 0.0 else 0.3)
-    return transform.build(kind, pp, ax=ax,
-                           by=float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])), g=g)
-
-
 def _check_catalog_defining(p, rng, tol):
     worst = 0.0
     count = 0
     for kind in transform.KINDS:
         n = 0
         while n < 50:
-            pp = _random_freq_params(rng)
+            pp = random_freq_params(rng)
             try:
-                spec = _admissible_spec(kind, pp, rng)
+                spec = admissible_spec(kind, pp, rng)
             except PuError:
                 continue
             worst = max(worst, transform.defining_residual(spec, pp))
@@ -345,9 +354,9 @@ def _check_catalog_pullback(p, rng, tol):
     for kind in transform.KINDS:
         n = 0
         while n < 50:
-            pp = _random_freq_params(rng)
+            pp = random_freq_params(rng)
             try:
-                spec = _admissible_spec(kind, pp, rng)
+                spec = admissible_spec(kind, pp, rng)
                 got = np.array(transform.pullback_hamiltonian(spec, pp))
             except PuError:
                 continue
@@ -362,10 +371,10 @@ def _check_catalog_inverse(p, rng, tol):
     worst = 0.0
     n = 0
     while n < 50:
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         kind = ("Ta2+", "Ta2-", "Tb1")[int(rng.integers(0, 3))]
         try:
-            spec = _admissible_spec(kind, pp, rng)
+            spec = admissible_spec(kind, pp, rng)
         except PuError:
             continue
         v = PhaseState(*rng.uniform(-2.0, 2.0, 4))
@@ -375,8 +384,7 @@ def _check_catalog_inverse(p, rng, tol):
     # Ta1 must be singular
     singular_ok = True
     try:
-        spec = transform.build("Ta1+", p if not p.degenerate else PuParams.from_frequencies(2.0, 1.0),
-                               ax=1.0, ay=1.0, g=0.1)
+        spec = transform.build("Ta1+", _nondegenerate(p), ax=1.0, ay=1.0, g=0.1)
         transform.inverse(spec, transform.XYState(1.0, 0.0, 0.0, 0.0))
         singular_ok = False
     except PuError:
@@ -388,10 +396,10 @@ def _check_flow_tensor(p, rng, tol):
     worst = 0.0
     n = 0
     while n < 50:
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         kind = ("Ta2+", "Ta2-", "Tb1")[int(rng.integers(0, 3))]
         try:
-            spec = _admissible_spec(kind, pp, rng)
+            spec = admissible_spec(kind, pp, rng)
             c3, c4 = transform.pullback_hamiltonian(spec, pp)
             jt = transform.flow_preserving_tensor(pp, c3, c4)
         except SingularStructureError:
@@ -406,10 +414,10 @@ def _check_flow_tensor(p, rng, tol):
     tripped = 0
     total = 0
     while total < 20:
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         kind = ("Ta1+", "Ta1-", "Tb2+", "Tb2-")[int(rng.integers(0, 4))]
         try:
-            spec = _admissible_spec(kind, pp, rng)
+            spec = admissible_spec(kind, pp, rng)
             c3, c4 = transform.pullback_hamiltonian(spec, pp)
         except PuError:
             continue
@@ -424,7 +432,7 @@ def _check_flow_tensor(p, rng, tol):
 def _check_tensor_reductions(p, rng, tol):
     worst = 0.0
     for _ in range(20):
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         g = float(rng.uniform(-0.4, 0.4))
         radicand = pp.alpha ** 2 - 4.0 * pp.beta - 4.0 * g
         if radicand <= 1e-3:
@@ -437,7 +445,7 @@ def _check_tensor_reductions(p, rng, tol):
             worst = max(worst, float(np.max(np.abs(jt.matrix - poisson_j1(pp).matrix))))
     # J2 reduction at ax=1, ay=-1/2, g = -alpha +- 3 sqrt(beta)/sqrt(2)
     for _ in range(10):
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         for sgn in (+1.0, -1.0):
             g = -pp.alpha + sgn * 3.0 * math.sqrt(pp.beta) / math.sqrt(2.0)
             try:
@@ -454,14 +462,13 @@ def _check_pushforward_formula(p, rng, tol):
     worst = 0.0
     n = 0
     while n < 50:
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         try:
-            spec = _admissible_spec(("Ta2+", "Tb1")[int(rng.integers(0, 2))], pp, rng)
+            spec = admissible_spec(("Ta2+", "Tb1")[int(rng.integers(0, 2))], pp, rng)
         except PuError:
             continue
         c1, c2 = rng.uniform(-2.0, 2.0, 2)
         jq = c1 * poisson_j1(pp).matrix + c2 * poisson_j2(pp).matrix
-        from .core import PoissonTensor
         table = transform.pushforward_brackets(spec, PoissonTensor(jq))
         mu0, _, mu2 = spec.mu
         nu0, _, nu2 = spec.nu
@@ -487,7 +494,7 @@ def _check_pushforward_formula(p, rng, tol):
 
 
 def _check_ghost_forms(p, rng, tol):
-    pp = p if not p.degenerate else PuParams.from_frequencies(2.0, 1.0)
+    pp = _nondegenerate(p)
     w1, w2 = pp.frequencies()
     w1sq, w2sq = w1 * w1, w2 * w2
     gh = transform.ghost_variant(pp, g=0.0, sign=+1, a_y_choice=-1.0)
@@ -518,7 +525,7 @@ def _check_positivity_windows(p, rng, tol):
         ok = ok and (window == expect == minors_pos)
     mismatches = 0
     for _ in range(50):
-        ppr = _random_freq_params(rng)
+        ppr = random_freq_params(rng)
         w1, w2 = ppr.frequencies()
         bx = float(rng.uniform(0.0, 1.3 * max(w1, w2) ** 2))
         if min(abs(bx - w1 * w1), abs(bx - w2 * w2)) < 1e-4:
@@ -534,7 +541,7 @@ def _check_positivity_pieces(p, rng, tol):
     worst = 0.0
     n = 0
     while n < 20:
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         w1, w2 = pp.frequencies()
         gap = abs(w1 * w1 - w2 * w2)
         g = float(rng.uniform(-0.45, 0.45)) * gap
@@ -556,7 +563,7 @@ def _check_positivity_pieces(p, rng, tol):
         n += 1
     n = 0
     while n < 20:
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         w1, w2 = pp.frequencies()
         lo, hi = sorted((w1 * w1, w2 * w2))
         bx = float(rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)))
@@ -578,7 +585,7 @@ def _check_sm_embedding(p, rng, tol):
     worst = 0.0
     n = 0
     while n < 10:
-        pp = _random_freq_params(rng)
+        pp = random_freq_params(rng)
         mu_w = float(rng.uniform(0.3, 2.0))
         mu_z = float(rng.uniform(0.3, 2.0))
         tau_sm = float(rng.uniform(0.5, 1.5))
@@ -600,7 +607,7 @@ def _check_sm_embedding(p, rng, tol):
 
 
 def _check_rk4(p, rng, tol):
-    pp = p if not p.degenerate else PuParams.from_frequencies(2.0, 1.0)
+    pp = _nondegenerate(p)
     sol = dynamics.ClassicalSolution(pp, (0.3, -0.5, 0.7, 0.2), "nondegenerate")
     v0 = dynamics.eval_solution(sol, 0.0)
     traj = dynamics.integrate(dynamics.LinearField(pp), v0, 1e-3, 10.0)
@@ -619,7 +626,7 @@ def _check_rk4(p, rng, tol):
 
 
 def _check_conservation(p, rng, tol):
-    pp = p if not p.degenerate else PuParams.from_frequencies(2.0, 1.0)
+    pp = _nondegenerate(p)
     sol = dynamics.ClassicalSolution(pp, (0.3, -0.5, 0.7, 0.2), "nondegenerate")
     v0 = dynamics.eval_solution(sol, 0.0)
     traj = dynamics.integrate(dynamics.LinearField(pp), v0, 1e-3, 50.0)
@@ -642,7 +649,7 @@ def _check_degenerate_growth(p, rng, tol):
 
 
 def _check_interaction_unique(p, rng, tol):
-    pp = p if not p.degenerate else PuParams.from_frequencies(2.0, 1.0)
+    pp = _nondegenerate(p)
     ok = True
     worst_floor = math.inf
     for pot, want in ((dynamics.quartic_potential(0.25), (1.0, 0.0)),
@@ -660,7 +667,7 @@ def _check_interaction_unique(p, rng, tol):
 
 
 def _check_two_route(p, rng, tol):
-    pp = p if not p.degenerate else PuParams.from_frequencies(2.0, 1.0)
+    pp = _nondegenerate(p)
     err = dynamics.two_route_max_error(pp, 0.5, dynamics.quartic_potential(0.25),
                                        PhaseState(0.3, -0.2, 0.25, 0.1),
                                        h=1e-3, t_end=5.0)
@@ -670,7 +677,7 @@ def _check_two_route(p, rng, tol):
 def _check_discovery(p, rng, tol):
     worst = 0.0
     for _ in range(10):
-        pp = _random_params(rng)
+        pp = random_params(rng)
         res = dynamics.structure_discovery(pp)
         span = np.column_stack([k.ravel() for k in res.kernels])
         for tensor in (poisson_j1(pp), poisson_j2(pp)):

@@ -1,7 +1,23 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from puosc.core import PuParams
+
+PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_cli(*args, env_extra=None):
+    """Run `python -m puosc ARGS` against this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    if env_extra:
+        env.update(env_extra)
+    return subprocess.run([sys.executable, "-m", "puosc", *args],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -13,16 +29,3 @@ def p54():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
-
-
-def random_params(rng, beta_floor=0.1):
-    alpha = rng.uniform(-3.0, 3.0)
-    beta = rng.uniform(beta_floor, 3.0) * rng.choice([-1.0, 1.0])
-    return PuParams(alpha, beta)
-
-
-def random_freq_params(rng, sep=0.1):
-    while True:
-        w1, w2 = rng.uniform(0.4, 2.5, 2)
-        if abs(w1 * w1 - w2 * w2) >= sep:
-            return PuParams.from_frequencies(float(w1), float(w2))

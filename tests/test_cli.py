@@ -1,22 +1,10 @@
 import csv
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "puosc", *args],
-                          capture_output=True, text=True, env=env)
+from conftest import run_cli
 
 
 class TestUsageErrors:
@@ -163,23 +151,6 @@ class TestDiscoverCommand:
 
 
 class TestVerifyCommand:
-    def test_deterministic_and_green(self, tmp_path):
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        r1 = run_cli("verify", "--omega1", "2", "--omega2", "1", "--seed", "42",
-                     "--out", str(out1))
-        r2 = run_cli("verify", "--omega1", "2", "--omega2", "1", "--seed", "42",
-                     "--out", str(out2))
-        assert r1.returncode == 0 and r2.returncode == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        report = json.loads(out1.read_text())
-        assert report["pass"] is True
-        assert report["seed"] == 42
-        assert report["params"]["alpha"] == 5.0
-        for check in report["checks"]:
-            assert set(check) == {"id", "anchor", "pass", "residual", "samples"}
-            assert check["pass"] is True
-        assert report["resolved"]
-
     def test_reports_to_stdout_without_out(self):
         r = run_cli("verify", "--omega1", "2", "--omega2", "1", "--seed", "7")
         assert r.returncode == 0

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_params
 from puosc.core import (PhaseState, PuParams, QuadHamiltonian, canonical_tensor,
                         companion_field, flow_residual, hamiltonian_h1,
                         hamiltonian_h2, ostrogradsky_hamiltonian,
-                        ostrogradsky_map, ostrogradsky_matrix, poisson_j1,
-                        poisson_j2, quad_bracket)
+                        ostrogradsky_matrix, poisson_j1, poisson_j2,
+                        quad_bracket)
 from puosc.errors import InvalidInputError, ParameterDomainError
+from puosc.hierarchy import charge_ladder
 from puosc.linalg import expm, inverse
+from puosc.verify import random_freq_params, random_params
 
 
 class TestParams:
@@ -80,13 +81,13 @@ class TestPoissonTensors:
     def test_j1_entries(self, p54):
         j1 = poisson_j1(p54)
         assert j1.matrix[0, 3] == -1.0
-        assert j1.bracket_basis(1, 2) == 1.0
-        assert j1.bracket_basis(2, 3) == 5.0
+        assert j1.matrix[1, 2] == 1.0
+        assert j1.matrix[2, 3] == 5.0
 
     def test_j2_entries(self, p54):
         j2 = poisson_j2(p54)
         assert j2.matrix[0, 1] == 0.25
-        assert j2.bracket_basis(2, 3) == -1.0
+        assert j2.matrix[2, 3] == -1.0
 
     def test_antisymmetry(self, p54):
         j1 = poisson_j1(p54).matrix
@@ -108,8 +109,8 @@ class TestFlowResidual:
     def test_random_parameter_sweep(self, rng):
         for _ in range(100):
             p = random_params(rng)
-            assert flow_residual(poisson_j1(p), hamiltonian_h1(p), p) <= 1e-10
-            assert flow_residual(poisson_j2(p), hamiltonian_h2(p), p) <= 1e-10
+            assert flow_residual(poisson_j1(p), hamiltonian_h1(p), p) <= 1e-12
+            assert flow_residual(poisson_j2(p), hamiltonian_h2(p), p) <= 1e-12
 
 
 class TestQuadBracket:
@@ -147,21 +148,31 @@ class TestQuadBracket:
         gf = quad_bracket(j, g, f).matrix
         assert np.array_equal(fg, -gf)
 
+    def test_commuting_charges_near_zero_bracket(self):
+        # here rounding leaves Sf J Sg - Sg J Sf asymmetric by more than the
+        # form's symmetry check allows for a near-zero bracket
+        p = PuParams(-2.2743700990172995, -2.955055837956778)
+        ladder = charge_ladder(p, 5).charges
+        for j in (poisson_j1(p), poisson_j2(p)):
+            b = quad_bracket(j, ladder[3], ladder[4]).matrix
+            assert np.array_equal(b, b.T)
+            assert np.linalg.norm(b) <= 1e-10
+
 
 class TestOstrogradsky:
     def test_identity_on_position(self, p54):
-        o = ostrogradsky_map(p54, PhaseState(1, 0, 0, 0))
-        assert (o.q1, o.q2, o.pi1, o.pi2) == (1.0, 0.0, 0.0, 0.0)
+        o = ostrogradsky_matrix(p54) @ PhaseState(1, 0, 0, 0).as_array()
+        assert o.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_pi1_example(self, p54):
-        assert ostrogradsky_map(p54, PhaseState(0, 1, 0, 0)).pi1 == -5.0
+        assert (ostrogradsky_matrix(p54) @ PhaseState(0, 1, 0, 0).as_array())[2] == -5.0
 
     def test_energy_of_unit_acceleration(self, p54):
-        o = ostrogradsky_map(p54, PhaseState(0, 0, 1, 0))
-        assert ostrogradsky_hamiltonian(p54).value(o.as_array()) == 0.5
+        o = ostrogradsky_matrix(p54) @ PhaseState(0, 0, 1, 0).as_array()
+        assert ostrogradsky_hamiltonian(p54).value(o) == 0.5
 
     def test_pullback_equals_h1(self, rng):
-        for _ in range(20):
+        for _ in range(100):
             p = random_params(rng)
             t = ostrogradsky_matrix(p)
             pulled = t.T @ ostrogradsky_hamiltonian(p).matrix @ t
@@ -186,7 +197,6 @@ class TestConservationAlongExactFlow:
     def test_h1_h2_constant(self, rng):
         # oscillatory branch: trajectories stay bounded, so the absolute
         # conservation tolerance is meaningful
-        from conftest import random_freq_params
         for _ in range(10):
             p = random_freq_params(rng)
             m = companion_field(p)

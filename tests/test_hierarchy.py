@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_freq_params, random_params
-from puosc.core import (PuParams, QuadHamiltonian, flow_residual, hamiltonian_h1,
-                        hamiltonian_h2, poisson_j1, poisson_j2)
+from puosc.core import (PuParams, QuadHamiltonian, companion_field, flow_residual,
+                        hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2)
 from puosc.errors import (DecompositionUndefinedError, DegenerateCombinationError,
                           ParameterDomainError, RecursionBreakdownError)
 from puosc.hierarchy import (charge_ladder, coefficients_on_h1h2, combine,
@@ -12,7 +11,7 @@ from puosc.hierarchy import (charge_ladder, coefficients_on_h1h2, combine,
                              x3_action_ladder, x4_pair)
 from puosc.linalg import expm, leading_minors
 from puosc.symmetry import standard_basis
-from puosc.core import companion_field
+from puosc.verify import random_freq_params, random_params
 
 
 class TestRecursion:
@@ -201,7 +200,7 @@ class TestPdWindow:
         assert all(d > 0 for d in leading_minors(cs.hbar.matrix))
 
     def test_axis_draws_never_pass(self, rng):
-        for _ in range(30):
+        for _ in range(50):
             p = random_freq_params(rng)
             assert not pd_window(p, 0.0, float(rng.uniform(0.2, 3.0) * rng.choice([-1, 1])))
             assert not pd_window(p, float(rng.uniform(0.2, 3.0) * rng.choice([-1, 1])), 0.0)

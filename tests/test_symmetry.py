@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_params
 from puosc.core import PhaseState, PuParams, companion_field, hamiltonian_h1, hamiltonian_h2
 from puosc.errors import InvalidRegimeError
 from puosc.hierarchy import charge_ladder
@@ -11,6 +10,7 @@ from puosc.linalg import expm
 from puosc.symmetry import (Generator, act_on_hamiltonian, closed_form_flow,
                             commutator, group_flow, solve_symmetries,
                             standard_basis)
+from puosc.verify import random_freq_params, random_params
 
 
 def lie_bracket_by_components(a, b):
@@ -42,7 +42,7 @@ class TestCommutator:
         assert np.allclose(got, lie_bracket_by_components(a, b), atol=1e-12)
 
     def test_basis_is_abelian(self, rng):
-        for _ in range(20):
+        for _ in range(50):
             gens = standard_basis(random_params(rng))
             for gi in gens:
                 for gj in gens:
@@ -62,13 +62,15 @@ class TestSymmetrySolver:
         assert np.linalg.norm(span @ coef - m) <= 1e-10 * (1 + np.linalg.norm(m))
 
     def test_span_equals_matrix_powers(self, rng):
-        for _ in range(10):
+        for _ in range(50):
             p = random_params(rng)
             m = companion_field(p)
             basis = solve_symmetries(p)
+            assert len(basis) == 4
             span = np.column_stack([g.matrix.ravel() for g in basis])
             powers = np.column_stack([np.linalg.matrix_power(m, k).ravel() for k in range(4)])
-            for target in powers.T:
+            standard = [g.matrix.ravel() for g in standard_basis(p)]
+            for target in [*powers.T, *standard]:
                 coef, _, _, _ = np.linalg.lstsq(span, target, rcond=None)
                 assert np.linalg.norm(span @ coef - target) <= 1e-9 * (1 + np.linalg.norm(target))
             for g in basis:
@@ -183,11 +185,7 @@ class TestClosedFormFlows:
                 w = rng.uniform(0.5, 2.0)
                 p = PuParams.from_frequencies(w, w)
             else:
-                while True:
-                    w1, w2 = rng.uniform(0.5, 2.0, 2)
-                    if abs(w1 ** 2 - w2 ** 2) > 0.1:
-                        break
-                p = PuParams.from_frequencies(w1, w2)
+                p = random_freq_params(rng)
             gens = dict(zip(("X2", "X3", "X4"), standard_basis(p)[1:]))
             amps = rng.uniform(-1, 1, 4)
             t, s = rng.uniform(0, 10), rng.uniform(0, 2)

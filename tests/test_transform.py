@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_freq_params
 from puosc.core import (PhaseState, PoissonTensor, PuParams, flow_residual,
                         hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2)
 from puosc.errors import (ComplexBranchError, ConstructionError,
@@ -17,20 +16,9 @@ from puosc.transform import (KINDS, XYState, build, canonical_bracket_residual,
                              inverse, lambda_coefficients, legendre,
                              pd_decompose_transformed, pd_window_transformed,
                              pullback_hamiltonian, pushforward_brackets,
-                             rho_context, sm_embedding, tau_of,
-                             tensor_coefficients, transformed_form)
-
-
-def admissible_spec(kind, p, rng):
-    ax = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-    ay = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-    g = float(rng.uniform(-0.5, 0.5))
-    if kind.startswith("Ta"):
-        return build(kind, p, ax=ax, ay=ay, g=g)
-    if kind == "Tb1":
-        return build(kind, p, ax=ax, bx=float(rng.uniform(-3, 3)), g=g or 0.3)
-    by = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-    return build(kind, p, ax=ax, by=by, g=g)
+                             sm_embedding, tau_of, tensor_coefficients,
+                             transformed_form)
+from puosc.verify import admissible_spec, random_freq_params
 
 
 def draw_spec(kind, p, rng):
@@ -97,12 +85,6 @@ class TestDefiningRelations:
             spec = draw_spec(kind, p, rng)
             worst = max(worst, defining_residual(spec, p))
         assert worst <= 1e-10
-
-    def test_rho_context_fields(self, p54):
-        ctx = rho_context(p54, 1.0, 1.0, 0.0, 0.0)
-        assert ctx.rho0_plus == 3.0 and ctx.rho0_minus == -3.0
-        assert ctx.rho_g_plus == 3.0
-        assert ctx.tau == 4.0  # bx = 0: tau = ax^2 beta
 
 
 class TestForwardInverse:
