@@ -11,11 +11,8 @@ pytest -s or in failure output), so the suite doubles as a checklist.
 """
 import json
 
-import pytest
-
 from conftest import run_cli
 
-VERIFY_ARGS = ("verify", "--omega1", "2", "--omega2", "1", "--seed", "42")
 CHECK_KEYS = {"id", "anchor", "pass", "residual", "samples"}
 
 CRITERIA = {
@@ -35,19 +32,6 @@ CRITERIA = {
 def report(criterion: int, ok: bool, detail: str):
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def verify_runs(tmp_path_factory):
-    """(exit code, report bytes) of two identical `puosc verify` runs."""
-    out = tmp_path_factory.mktemp("verify")
-    runs = []
-    for name in ("r1.json", "r2.json"):
-        path = out / name
-        proc = run_cli(*VERIFY_ARGS, "--out", str(path))
-        assert path.exists(), f"verify exited {proc.returncode} without a report: {proc.stderr}"
-        runs.append((proc.returncode, path.read_bytes()))
-    return runs
 
 
 def check_criterion(criterion: int, verify_runs):

@@ -151,6 +151,14 @@ class TestDiscoverCommand:
 
 
 class TestVerifyCommand:
+    def test_deterministic_and_green(self, verify_runs):
+        (code1, data1), (code2, data2) = verify_runs
+        assert code1 == 0 and code2 == 0
+        assert data1 == data2
+        report = json.loads(data1)
+        assert report["pass"] is True
+        assert all(check["pass"] is True for check in report["checks"])
+
     def test_reports_to_stdout_without_out(self):
         r = run_cli("verify", "--omega1", "2", "--omega2", "1", "--seed", "7")
         assert r.returncode == 0
