@@ -22,10 +22,6 @@ from .errors import PuError
 DEFAULT_TOL = 1e-9
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".puosc-", suffix=".tmp")
@@ -49,8 +45,9 @@ def _emit(data: str, out: str | None) -> None:
 
 
 def _csv(header: list[str], rows: list[list[float]]) -> str:
+    row_fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    lines.extend(row_fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -97,6 +94,16 @@ def _tol_from_args(parser: argparse.ArgumentParser, args) -> float:
     return tol
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _amplitudes(args) -> tuple[float, float, float, float]:
     return (args.A1, args.A2, args.B1, args.B2)
 
@@ -127,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--generator", choices=("X1", "X2", "X3", "X4"), default="X3")
     p_flow.add_argument("--s", type=float, default=1.0)
     p_flow.add_argument("--t-end", dest="t_end", type=float, default=10.0)
-    p_flow.add_argument("--steps", type=int, default=200)
+    p_flow.add_argument("--steps", type=_nonnegative_int, default=200)
     for amp in ("A1", "A2", "B1", "B2"):
         p_flow.add_argument(f"--{amp}", type=float, default=0.0)
 

@@ -612,9 +612,9 @@ def _check_rk4(p, rng, tol):
     v0 = dynamics.eval_solution(sol, 0.0)
     traj = dynamics.integrate(dynamics.LinearField(pp), v0, 1e-3, 10.0)
     worst = 0.0
-    for t, state in traj.samples[::200]:
+    for t, state in zip(traj.times[::200], traj.states[::200]):
         worst = max(worst, float(np.max(np.abs(
-            state.as_array() - dynamics.eval_solution(sol, t).as_array()))))
+            state - dynamics.eval_solution(sol, t).as_array()))))
 
     def terminal_error(h):
         tr = dynamics.integrate(dynamics.LinearField(pp), v0, h, 10.0)

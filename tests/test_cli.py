@@ -103,8 +103,25 @@ class TestFlowCommand:
         assert float(row[1]) == pytest.approx(0.0, abs=1e-12)
         assert float(row[2]) == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
 
+    def test_negative_steps_rejected(self):
+        r = run_cli("flow", "--omega1", "2", "--omega2", "1", "--steps", "-3")
+        assert r.returncode == 2
+        assert "--steps" in r.stderr and "Traceback" not in r.stderr
+
+    def test_zero_steps_gives_one_row(self):
+        r = run_cli("flow", "--omega1", "2", "--omega2", "1", "--A1", "1", "--steps", "0")
+        assert r.returncode == 0
+        assert len(r.stdout.strip().splitlines()) == 2
+
 
 class TestSimulateCommand:
+    def test_quartic_blow_up_reports_time(self):
+        # the degenerate secular mode plus the quartic coupling diverges
+        r = run_cli("simulate", "--omega1", "1", "--omega2", "1", "--B1", "1", "--h", "1e-3",
+                    "--t-end", "20", "--potential", "quartic:lam=0.25")
+        assert r.returncode == 1
+        assert "integration diverged at t = 11.81" in r.stderr
+
     def test_degenerate_growth_visible_in_csv(self, tmp_path):
         out = tmp_path / "traj.csv"
         r = run_cli("simulate", "--omega1", "1", "--omega2", "1", "--B1", "1",

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from puosc.core import (PhaseState, PuParams, flow_residual, hamiltonian_h1,
-                        poisson_j1, poisson_j2)
+from puosc.core import (PhaseState, PuParams, companion_field, flow_residual,
+                        hamiltonian_h1, poisson_j1, poisson_j2)
 from puosc.dynamics import (ClassicalSolution, LinearField,
                             Potential, PotentialField, charge_values,
                             conservation_report, cosine_potential,
@@ -96,9 +96,8 @@ class TestIntegration:
         v0 = eval_solution(sol, 0.0)
         traj = integrate(LinearField(p54), v0, 1e-3, 10.0)
         worst = 0.0
-        for t, state in traj.samples[::100]:
-            worst = max(worst, np.max(np.abs(
-                state.as_array() - eval_solution(sol, t).as_array())))
+        for t, state in zip(traj.times[::100], traj.states[::100]):
+            worst = max(worst, np.max(np.abs(state - eval_solution(sol, t).as_array())))
         assert worst <= 1e-6
 
     def test_fourth_order_convergence(self, p54):
@@ -128,6 +127,72 @@ class TestIntegration:
             integrate(LinearField(p54), PhaseState(1, 0, 0, 0), -0.1, 1.0)
         with pytest.raises(InvalidInputError):
             integrate(LinearField(p54), PhaseState(1, 0, 0, 0), 0.5, 0.2)
+
+
+def vector_rk4(p, pot, w, h, n_steps):
+    """The integrator in vector form: numpy 4-vectors and a 4x4 matvec per
+    stage.  Returns (states, t_reached), t_reached None when it did not diverge."""
+    m = companion_field(p)
+
+    def rhs(v):
+        out = m @ v
+        if pot is not None:
+            out[3] += pot.derivative(v[0 if pot.kind == "on_q" else 2])
+        return out
+
+    states = np.empty((n_steps + 1, 4))
+    w = np.array(w, dtype=float)
+    states[0] = w
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            k1 = rhs(w)
+            k2 = rhs(w + 0.5 * h * k1)
+            k3 = rhs(w + 0.5 * h * k2)
+            k4 = rhs(w + h * k3)
+            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(w)):
+                return states[:i + 1], (i + 1) * h
+            states[i + 1] = w
+    return states, None
+
+
+class TestScalarLoop:
+    """integrate steps four floats; its trajectories must equal the vector
+    form's bit for bit, across the chunked writes into the state array."""
+
+    @pytest.mark.parametrize("n_steps", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("pot", [None, quartic_potential(0.25),
+                                     quartic_potential(0.25, kind="on_qdd")],
+                             ids=["linear", "on_q", "on_qdd"])
+    def test_bit_identical_to_vector_form(self, p54, pot, n_steps):
+        v0 = PhaseState(0.4, -0.2, 0.25, 0.1)
+        field = LinearField(p54) if pot is None else PotentialField(p54, pot)
+        want, t_reached = vector_rk4(p54, pot, v0.as_array(), 0.01, n_steps)
+        assert t_reached is None
+        traj = integrate(field, v0, 0.01, n_steps * 0.01)
+        assert traj.states.shape == (n_steps + 1, 4)
+        assert np.array_equal(traj.states, want)
+
+    def test_signed_zeros_step_like_the_matvec(self):
+        # a matvec never returns -0.0; at alpha < 0 a -0.0 initial entry
+        # would otherwise survive the first step
+        p = PuParams(-5.0, 4.0)
+        v0 = PhaseState(0.0, -0.0, -0.0, -0.0)
+        want, _ = vector_rk4(p, None, v0.as_array(), 0.01, 5)
+        assert integrate(LinearField(p), v0, 0.01, 0.05).states.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pot,v0,h", [
+        (quartic_potential(1.0), PhaseState(3, 0, 0, 0), 0.05),
+        (quartic_potential(1.0, kind="on_qdd"), PhaseState(0, 0, 2, 0), 0.01),
+    ], ids=["on_q", "on_qdd"])
+    def test_overflow_is_divergence_at_the_vector_forms_time(self, p54, pot, v0, h):
+        # float ** 3 overflows with OverflowError where float64 gave inf
+        _, t_reached = vector_rk4(p54, pot, v0.as_array(), h, int(round(50.0 / h)))
+        assert t_reached is not None
+        with pytest.raises(DivergenceError) as err:
+            integrate(PotentialField(p54, pot), v0, h, 50.0)
+        assert err.value.t_reached == t_reached
+        assert str(err.value) == f"integration diverged at t = {t_reached:.6g}"
 
 
 class TestConservation:

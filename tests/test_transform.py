@@ -436,15 +436,13 @@ class TestHamiltonFlowInXY:
         nu0, _, nu2 = spec.nu
         det = mu2 * nu0 - mu0 * nu2
 
-        def rhs(w):
-            x, y, xd, yd = w
-            return np.array([xd, yd,
-                             -(spec.bx * x + spec.g * y) / spec.ax,
-                             -(spec.by * y + spec.g * x) / spec.ay])
+        def rhs(x, y, xd, yd):
+            return (xd, yd, -(spec.bx * x + spec.g * y) / spec.ax,
+                    -(spec.by * y + spec.g * x) / spec.ay)
 
         v0 = PhaseState(0.4, -0.1, 0.3, 0.2)
-        w0 = np.array([mu0 * v0.q + mu2 * v0.qdd, nu0 * v0.q + nu2 * v0.qdd,
-                       mu0 * v0.qd + mu2 * v0.qddd, nu0 * v0.qd + nu2 * v0.qddd])
+        w0 = (mu0 * v0.q + mu2 * v0.qdd, nu0 * v0.q + nu2 * v0.qdd,
+              mu0 * v0.qd + mu2 * v0.qddd, nu0 * v0.qd + nu2 * v0.qddd)
         h = 1e-3
         xy = _rk4(rhs, w0, h, 4000)
         pulled = np.column_stack([
