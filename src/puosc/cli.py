@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import tempfile
 import numpy as np
 
 from . import dynamics, hierarchy, symmetry, transform, verify
-from .core import PuParams, hamiltonian_h1, hamiltonian_h2
+from .core import PuParams, flow_residual, hamiltonian_h1, hamiltonian_h2
 from .errors import PuError
 
 DEFAULT_TOL = 1e-9
@@ -55,15 +56,31 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _argument_type(convert, valid, expected: str):
+    """An argparse type that converts the text and requires valid(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_finite_float = _argument_type(float, math.isfinite, "a finite number")
+_nonnegative_int = _argument_type(int, lambda v: v >= 0, "a non-negative integer")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--omega1", type=float, default=None)
-    sub.add_argument("--omega2", type=float, default=None)
+    sub.add_argument("--alpha", type=_finite_float, default=None)
+    sub.add_argument("--beta", type=_finite_float, default=None)
+    sub.add_argument("--omega1", type=_finite_float, default=None)
+    sub.add_argument("--omega2", type=_finite_float, default=None)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=None)
+    sub.add_argument("--tol", type=_finite_float, default=None)
     sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 def _params_from_args(parser: argparse.ArgumentParser, args) -> PuParams:
@@ -81,31 +98,18 @@ def _params_from_args(parser: argparse.ArgumentParser, args) -> PuParams:
 def _tol_from_args(parser: argparse.ArgumentParser, args) -> float:
     tol = args.tol
     if tol is None:
-        env = os.environ.get("PU_TOL")
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError:
-                parser.error(f"PU_TOL={env!r} is not a number")
-        else:
-            tol = DEFAULT_TOL
+        try:
+            tol = _finite_float(os.environ.get("PU_TOL", repr(DEFAULT_TOL)))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"PU_TOL: {exc}")
     if tol <= 0.0:
         parser.error("tolerance must be positive")
     return tol
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _amplitudes(args) -> tuple[float, float, float, float]:
-    return (args.A1, args.A2, args.B1, args.B2)
+def _classical_solution(p: PuParams, args) -> dynamics.ClassicalSolution:
+    regime = "degenerate" if p.degenerate else "nondegenerate"
+    return dynamics.ClassicalSolution(p, (args.A1, args.A2, args.B1, args.B2), regime)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,34 +123,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_hier = subs.add_parser("hierarchy", help="charge coefficients and polynomials")
     _add_common(p_hier)
     p_hier.add_argument("--n", type=int, default=4, help="ladder depth")
+    p_hier.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_tr = subs.add_parser("transform", help="catalog transformation report")
     _add_common(p_tr)
     p_tr.add_argument("--kind", choices=transform.KINDS, required=True)
-    p_tr.add_argument("--ax", type=float, default=1.0)
-    p_tr.add_argument("--ay", type=float, default=None)
-    p_tr.add_argument("--bx", type=float, default=None)
-    p_tr.add_argument("--by", type=float, default=None)
-    p_tr.add_argument("--g", type=float, default=0.0)
+    p_tr.add_argument("--ax", type=_finite_float, default=1.0)
+    p_tr.add_argument("--ay", type=_finite_float, default=None)
+    p_tr.add_argument("--bx", type=_finite_float, default=None)
+    p_tr.add_argument("--by", type=_finite_float, default=None)
+    p_tr.add_argument("--g", type=_finite_float, default=0.0)
 
     p_flow = subs.add_parser("flow", help="sample a symmetry-group flow")
     _add_common(p_flow)
     p_flow.add_argument("--generator", choices=("X1", "X2", "X3", "X4"), default="X3")
-    p_flow.add_argument("--s", type=float, default=1.0)
-    p_flow.add_argument("--t-end", dest="t_end", type=float, default=10.0)
+    p_flow.add_argument("--s", type=_finite_float, default=1.0)
+    p_flow.add_argument("--t-end", dest="t_end", type=_finite_float, default=10.0)
     p_flow.add_argument("--steps", type=_nonnegative_int, default=200)
     for amp in ("A1", "A2", "B1", "B2"):
-        p_flow.add_argument(f"--{amp}", type=float, default=0.0)
+        p_flow.add_argument(f"--{amp}", type=_finite_float, default=0.0)
 
     p_sim = subs.add_parser("simulate", help="integrate and monitor charges")
     _add_common(p_sim)
-    p_sim.add_argument("--h", type=float, default=1e-3)
-    p_sim.add_argument("--t-end", dest="t_end", type=float, default=10.0)
+    p_sim.add_argument("--h", type=_finite_float, default=1e-3)
+    p_sim.add_argument("--t-end", dest="t_end", type=_finite_float, default=10.0)
     p_sim.add_argument("--potential", type=str, default=None,
                        help="interaction 'name[:lam=VALUE]' (quartic, cubic, cosine)")
     p_sim.add_argument("--potential-kind", choices=("on_q", "on_qdd"), default="on_q")
     for amp in ("A1", "A2", "B1", "B2"):
-        p_sim.add_argument(f"--{amp}", type=float, default=0.0)
+        p_sim.add_argument(f"--{amp}", type=_finite_float, default=0.0)
 
     p_disc = subs.add_parser("discover", help="solve for compatible (J, H) pairs")
     _add_common(p_disc)
@@ -156,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(parser, args) -> int:
     p = _params_from_args(parser, args)
     tol = _tol_from_args(parser, args)
-    if args.format == "csv":
-        parser.error("verify reports are JSON only")
     report = verify.run_verification(p, seed=args.seed, tol=tol)
     _emit(_json_dump(report), args.out)
     return 0 if report["pass"] else 1
@@ -230,10 +233,7 @@ def _cmd_transform(parser, args) -> int:
 def _cmd_flow(parser, args) -> int:
     p = _params_from_args(parser, args)
     _tol_from_args(parser, args)
-    if args.format == "json":
-        parser.error("flow curves are CSV only")
-    regime = "degenerate" if p.degenerate else "nondegenerate"
-    sol = dynamics.ClassicalSolution(p, _amplitudes(args), regime)
+    sol = _classical_solution(p, args)
     gens = dict(zip(("X1", "X2", "X3", "X4"), symmetry.standard_basis(p)))
     states = [(t, dynamics.eval_solution(sol, t))
               for t in np.linspace(0.0, args.t_end, args.steps + 1)]
@@ -246,10 +246,7 @@ def _cmd_flow(parser, args) -> int:
 def _cmd_simulate(parser, args) -> int:
     p = _params_from_args(parser, args)
     _tol_from_args(parser, args)
-    if args.format == "json":
-        parser.error("trajectories are CSV only")
-    regime = "degenerate" if p.degenerate else "nondegenerate"
-    sol = dynamics.ClassicalSolution(p, _amplitudes(args), regime)
+    sol = _classical_solution(p, args)
     v0 = dynamics.eval_solution(sol, 0.0)
     pot = None
     if args.potential:
@@ -275,7 +272,6 @@ def _cmd_discover(parser, args) -> int:
     p = _params_from_args(parser, args)
     _tol_from_args(parser, args)
     result = dynamics.structure_discovery(p)
-    from .core import flow_residual
     payload = {
         "seed": args.seed,
         "params": {"alpha": p.alpha, "beta": p.beta},

@@ -80,8 +80,6 @@ class PhaseState:
 
 
 def _tovec(v) -> np.ndarray:
-    if isinstance(v, PhaseState):
-        return v.as_array()
     if hasattr(v, "as_array"):
         return v.as_array()
     return np.asarray(v, dtype=float)
@@ -92,9 +90,9 @@ class QuadHamiltonian:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, s, sym_tol: float = 1e-12):
+    def __init__(self, s):
         a = as_matrix(s, square=True)
-        if np.linalg.norm(a - a.T) > sym_tol * (1.0 + np.linalg.norm(a)):
+        if np.linalg.norm(a - a.T) > 1e-12 * (1.0 + np.linalg.norm(a)):
             raise InvalidInputError("Hamiltonian matrix is not symmetric")
         a = 0.5 * (a + a.T)
         a.flags.writeable = False
@@ -124,10 +122,6 @@ class QuadHamiltonian:
     def __neg__(self) -> "QuadHamiltonian":
         return QuadHamiltonian(-self.matrix)
 
-    def allclose(self, other: "QuadHamiltonian", tol: float = 1e-10) -> bool:
-        scale = 1.0 + np.linalg.norm(self.matrix) + np.linalg.norm(other.matrix)
-        return np.linalg.norm(self.matrix - other.matrix) <= tol * scale
-
     def __repr__(self):
         return f"QuadHamiltonian({self.matrix.tolist()})"
 
@@ -137,9 +131,9 @@ class PoissonTensor:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, j, asym_tol: float = 1e-12):
+    def __init__(self, j):
         a = as_matrix(j, square=True)
-        if np.linalg.norm(a + a.T) > asym_tol * (1.0 + np.linalg.norm(a)):
+        if np.linalg.norm(a + a.T) > 1e-12 * (1.0 + np.linalg.norm(a)):
             raise InvalidInputError("Poisson tensor is not antisymmetric")
         a = 0.5 * (a - a.T)
         a.flags.writeable = False

@@ -68,9 +68,6 @@ class Potential:
                 raise InvalidInputError(
                     f"potential {self.name!r}: derivative inconsistent at {x}")
 
-    def argument(self, v: PhaseState) -> float:
-        return v.q if self.kind == "on_q" else v.qdd
-
 
 def quartic_potential(lam: float = 0.25, kind: str = "on_q") -> Potential:
     return Potential(kind, lambda x: lam * x ** 4 / 4.0, lambda x: lam * x ** 3,
@@ -192,10 +189,10 @@ def _rk4(rhs, v0, h: float, n_steps: int) -> np.ndarray:
 
 def integrate(field, v0: PhaseState, h: float, t_end: float) -> Trajectory:
     """Classical fixed-step RK4 from t = 0 to t_end (inclusive grid)."""
-    if h <= 0.0:
-        raise InvalidInputError("step size h must be positive")
-    if t_end < h:
-        raise InvalidInputError("t_end must be at least one step")
+    if not 0.0 < h < math.inf:
+        raise InvalidInputError("step size h must be positive and finite")
+    if not h <= t_end < math.inf:
+        raise InvalidInputError("t_end must be finite and at least one step")
     n_steps = int(round(t_end / h))
     states = _rk4(field.rhs, v0.as_array(), h, n_steps)
     times = np.arange(n_steps + 1) * h
@@ -239,16 +236,15 @@ class CompatibilityReport:
     compatible_ray: tuple[float, float] | None
 
 
-def interaction_compatibility(p: PuParams, pot: Potential, n_angles: int = 32,
-                              n_states: int = 50, rng=None,
-                              zero_tol: float = 1e-9,
-                              floor: float = 1e-3) -> CompatibilityReport:
-    """Scan tensor directions for compatibility with the interacting flow.
+def interaction_compatibility(p: PuParams, pot: Potential, rng=None) -> CompatibilityReport:
+    """Scan 32 tensor directions for compatibility with the interacting flow.
 
     The interacting Hamiltonian is H1 + V(q) for an on_q potential and
     H2 + W(qdd) for an on_qdd one; the target is the interacting vector
-    field.  A direction is compatible when its residual is below
-    zero_tol * scale; all others must stay above floor * scale.
+    field, probed at 50 random states.  A direction is compatible when its
+    residual is at most 1e-9 * scale.  The residuals of the other
+    directions are returned, not judged: how far they must stay from zero
+    is the caller's bound.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     probe = rng.uniform(-1.0, 1.0, 8)
@@ -260,7 +256,7 @@ def interaction_compatibility(p: PuParams, pot: Potential, n_angles: int = 32,
     grad_idx = 0 if pot.kind == "on_q" else 2
     m = companion_field(p)
     j1m, j2m = poisson_j1(p).matrix, poisson_j2(p).matrix
-    states = rng.uniform(-1.0, 1.0, (n_states, 4))
+    states = rng.uniform(-1.0, 1.0, (50, 4))
 
     targets = states @ m.T
     dV = np.array([pot.derivative(v[grad_idx]) for v in states])
@@ -270,12 +266,12 @@ def interaction_compatibility(p: PuParams, pot: Potential, n_angles: int = 32,
     grads = states @ base.matrix.T
     grads[:, grad_idx] += dV
 
-    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
-    residuals = np.empty(n_angles)
+    angles = 2.0 * math.pi * np.arange(32) / 32
+    residuals = np.empty(len(angles))
     for k, theta in enumerate(angles):
         j = math.cos(theta) * j1m + math.sin(theta) * j2m
         residuals[k] = np.max(np.linalg.norm(grads @ j.T - targets, axis=1))
-    compatible = [k for k in range(n_angles) if residuals[k] <= zero_tol * scale]
+    compatible = [k for k in range(len(angles)) if residuals[k] <= 1e-9 * scale]
     ray = None
     if len(compatible) == 1:
         theta = angles[compatible[0]]
@@ -368,14 +364,14 @@ def _antisym_from_params(c: np.ndarray) -> np.ndarray:
     return k
 
 
-def structure_discovery(p: PuParams, tol: float = 1e-12,
-                        cond_limit: float = 1e8) -> DiscoveryResult:
+def structure_discovery(p: PuParams, tol: float = 1e-12) -> DiscoveryResult:
     """Solve the flow equation for (J, H) pairs from scratch.
 
     Parametrizes antisymmetric K with K M + M^T K = 0 (so that S = K M is
     symmetric), finds the kernel of the resulting linear operator, and inverts
-    the well-conditioned kernel elements to J = K^{-1}.  Ill-conditioned
-    directions are reported in ``skipped`` but not inverted.
+    the kernel elements with condition number at most 1e8 to J = K^{-1}.
+    Worse-conditioned directions are reported in ``skipped`` but not
+    inverted.
     """
     if p.beta == 0.0:
         raise ParameterDomainError("structure discovery requires beta != 0")
@@ -394,12 +390,12 @@ def structure_discovery(p: PuParams, tol: float = 1e-12,
         k = _antisym_from_params(coeffs)
         kernels.append(k)
         svals = np.linalg.svd(k, compute_uv=False)
-        if svals[-1] <= 0.0 or svals[0] / svals[-1] > cond_limit:
+        if svals[-1] <= 0.0 or svals[0] / svals[-1] > 1e8:
             skipped.append(k)
             continue
         # the inverse is antisymmetric only to about cond(k) * eps
         jinv = inverse(k)
         j = PoissonTensor(0.5 * (jinv - jinv.T))
         s = k @ m
-        pairs.append((j, QuadHamiltonian(0.5 * (s + s.T), sym_tol=1e-9)))
+        pairs.append((j, QuadHamiltonian(0.5 * (s + s.T))))
     return DiscoveryResult(pairs=pairs, kernels=kernels, skipped=skipped)

@@ -55,13 +55,13 @@ def recursion_operator(p: PuParams) -> np.ndarray:
     return inverse(poisson_j2(p).matrix) @ poisson_j1(p).matrix
 
 
-def next_charge(p: PuParams, h: QuadHamiltonian, asym_tol: float = 1e-10) -> QuadHamiltonian:
+def next_charge(p: PuParams, h: QuadHamiltonian) -> QuadHamiltonian:
     """One recursion step.  The product must come out symmetric: that symmetry
     is the integrability certificate, so an asymmetric result is an error,
     never silently repaired."""
     product = recursion_operator(p) @ h.matrix
     asym = np.linalg.norm(product - product.T)
-    if asym > asym_tol * (1.0 + np.linalg.norm(product)):
+    if asym > 1e-10 * (1.0 + np.linalg.norm(product)):
         raise RecursionBreakdownError(f"recursion step asymmetric by {asym:.3e}")
     return QuadHamiltonian(0.5 * (product + product.T))
 
@@ -78,15 +78,14 @@ def charge_ladder(p: PuParams, depth: int = 4) -> ChargeLadder:
     return ChargeLadder(tuple(charges))
 
 
-def coefficients_on_h1h2(p: PuParams, h: QuadHamiltonian,
-                         res_tol: float = 1e-10) -> tuple[float, float]:
+def coefficients_on_h1h2(p: PuParams, h: QuadHamiltonian) -> tuple[float, float]:
     """Least-squares coordinates of a charge in the (H1, H2) plane."""
     basis = np.column_stack([hamiltonian_h1(p).matrix.ravel(),
                              hamiltonian_h2(p).matrix.ravel()])
     target = h.matrix.ravel()
     coeff, _, _, _ = np.linalg.lstsq(basis, target, rcond=None)
     residual = np.linalg.norm(basis @ coeff - target)
-    if residual > res_tol * (1.0 + np.linalg.norm(target)):
+    if residual > 1e-10 * (1.0 + np.linalg.norm(target)):
         raise InvalidInputError(f"form is not in the (H1, H2) plane (residual {residual:.3e})")
     return float(coeff[0]), float(coeff[1])
 
@@ -137,7 +136,7 @@ def x4_pair(p: PuParams) -> tuple[QuadHamiltonian, QuadHamiltonian]:
     return p.alpha * h1 + h2, -p.beta * h1
 
 
-def combine(p: PuParams, c1: float, c2: float, tol: float = 1e-10) -> CombinedStructure:
+def combine(p: PuParams, c1: float, c2: float) -> CombinedStructure:
     """Flow-preserving combination Jbar = c1 J1 + c2 J2, Hbar = c3 H1 + c4 H2.
 
     The (c3, c4) coefficients divide by (c2 - c1 w1^2)(c2 - c1 w2^2) =
@@ -147,7 +146,7 @@ def combine(p: PuParams, c1: float, c2: float, tol: float = 1e-10) -> CombinedSt
     """
     denom = c2 * c2 - p.alpha * c1 * c2 + p.beta * c1 * c1
     scale = 1.0 + c1 * c1 + c2 * c2
-    if abs(denom) <= tol * scale:
+    if abs(denom) <= 1e-10 * scale:
         raise DegenerateCombinationError(
             f"c2 = c1*omega_i^2 within tolerance (denominator {denom:.3e})")
     c3 = c1 * p.beta / denom

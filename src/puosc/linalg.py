@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularMatrixError
 
-DEFAULT_TOL = 1e-9
-
 # Taylor order / scaling threshold for expm.  At ||A|| <= _EXPM_THETA the
 # order-8 remainder is below double rounding.
 _EXPM_ORDER = 8
@@ -28,18 +26,6 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
         raise InvalidInputError("matrix has non-finite entries")
     if square and a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def as_vector(v, size: int | None = None) -> np.ndarray:
-    """Validate and return a float copy of a 1-D vector."""
-    a = np.array(v, dtype=float)
-    if a.ndim != 1:
-        raise InvalidInputError(f"expected a vector, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("vector has non-finite entries")
-    if size is not None and a.size != size:
-        raise InvalidInputError(f"expected a vector of size {size}, got {a.size}")
     return a
 
 
@@ -61,15 +47,15 @@ def nullspace(m, tol: float = 1e-12) -> list[np.ndarray]:
     return basis
 
 
-def inverse(m, pivot_tol: float = 1e-12) -> np.ndarray:
+def inverse(m) -> np.ndarray:
     """Invert a square matrix by Gauss-Jordan with partial pivoting.
 
     Raises SingularMatrixError when a pivot falls below
-    ``pivot_tol * max(1, max|entry|)``.
+    ``1e-12 * max(1, max|entry|)``.
     """
     a = as_matrix(m, square=True)
     n = a.shape[0]
-    floor = pivot_tol * max(1.0, float(np.max(np.abs(a)))) if a.size else pivot_tol
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(a), initial=0.0)))
     work = np.hstack([a, np.eye(n)])
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
@@ -100,20 +86,20 @@ def expm(m) -> np.ndarray:
     return result
 
 
-def leading_minors(m, sym_tol: float = 1e-10) -> list[float]:
+def leading_minors(m) -> list[float]:
     """Determinants of the leading principal blocks of a symmetric matrix.
 
     Sylvester's criterion: all minors positive iff the matrix is positive
-    definite.  Asymmetric input (beyond ``sym_tol`` relative) is rejected
-    because the criterion is meaningless there.
+    definite.  Asymmetric input (beyond 1e-10 relative) is rejected because
+    the criterion is meaningless there.
     """
     a = as_matrix(m, square=True)
     scale = 1.0 + np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > sym_tol * scale:
+    if np.linalg.norm(a - a.T) > 1e-10 * scale:
         raise InvalidInputError("leading_minors requires a symmetric matrix")
     return [float(np.linalg.det(a[:k, :k])) for k in range(1, a.shape[0] + 1)]
 
 
-def is_positive_definite(m, sym_tol: float = 1e-10) -> bool:
+def is_positive_definite(m) -> bool:
     """Sylvester test on the leading principal minors."""
-    return all(d > 0.0 for d in leading_minors(m, sym_tol=sym_tol))
+    return all(d > 0.0 for d in leading_minors(m))

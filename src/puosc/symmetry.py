@@ -31,10 +31,6 @@ class Generator:
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
 
-    def apply(self, v) -> np.ndarray:
-        x = v.as_array() if isinstance(v, PhaseState) else np.asarray(v, dtype=float)
-        return self.matrix @ x
-
     def __repr__(self):
         return f"Generator({self.matrix.tolist()})"
 

@@ -77,8 +77,7 @@ def _sign_of_kind(kind: str) -> float:
 
 
 def build(kind: str, p: PuParams, *, ax: float, ay: float | None = None,
-          bx: float | None = None, by: float | None = None, g: float = 0.0,
-          tol: float = 1e-10) -> TransformSpec:
+          bx: float | None = None, by: float | None = None, g: float = 0.0) -> TransformSpec:
     """Construct a catalog transformation.
 
     Free parameters by family: Ta1/Ta2 take (ax, ay, g); Tb1 takes (ax, bx, g);
@@ -116,7 +115,7 @@ def build(kind: str, p: PuParams, *, ax: float, ay: float | None = None,
         if g == 0.0:
             raise ConstructionError("Tb1 requires g != 0")
         tau = tau_of(p, ax, bx)
-        if abs(tau) <= tol * (1.0 + bx * bx + ax * ax * (abs(alpha) + abs(beta))):
+        if abs(tau) <= 1e-10 * (1.0 + bx * bx + ax * ax * (abs(alpha) + abs(beta))):
             raise ConstructionError("Tb1 excluded: bx = ax(alpha + rho_0)/2 makes tau vanish")
         ay_v = -ax * g * g / tau
         by_v = g * g * (bx - ax * alpha) / tau
@@ -130,7 +129,7 @@ def build(kind: str, p: PuParams, *, ax: float, ay: float | None = None,
         sign = _sign_of_kind(kind)
         r = sign * _sqrt_or_raise(alpha * alpha - 4.0 * beta, "rho_0")
         denom = alpha + r
-        if abs(denom) <= tol * (1.0 + abs(alpha)):
+        if abs(denom) <= 1e-10 * (1.0 + abs(alpha)):
             raise ConstructionError("Tb2 excluded: alpha + rho_0 vanishes")
         bx_v = g * g / by + 0.5 * ax * (alpha + r)
         mu = (2.0 * beta / (ax * denom), 0.0, 1.0 / ax)
@@ -195,13 +194,13 @@ def _inverse_determinant(spec: TransformSpec) -> float:
     return mu2 * nu0 - mu0 * nu2
 
 
-def inverse(spec: TransformSpec, w: XYState, tol: float = 1e-12) -> PhaseState:
+def inverse(spec: TransformSpec, w: XYState) -> PhaseState:
     """Invert the map: defined only when mu2 nu0 - mu0 nu2 != 0 and ay != 0."""
     mu0, _, mu2 = spec.mu
     nu0, _, nu2 = spec.nu
     det = _inverse_determinant(spec)
     scale = 1.0 + max(abs(c) for c in (*spec.mu, *spec.nu))
-    if abs(det) <= tol * scale:
+    if abs(det) <= 1e-12 * scale:
         raise NonInvertibleTransformError(
             f"{spec.kind}: mu2 nu0 - mu0 nu2 = {det:.3e}, map not invertible")
     if spec.ay == 0.0:
@@ -274,23 +273,21 @@ def catalog_pullback_coefficients(spec: TransformSpec, p: PuParams) -> tuple[flo
     return -mfun(w1sq, w2sq) / ax, -1.0 / ax
 
 
-def flow_preserving_tensor(p: PuParams, c3: float, c4: float,
-                           tol: float = 1e-10) -> PoissonTensor:
+def flow_preserving_tensor(p: PuParams, c3: float, c4: float) -> PoissonTensor:
     """The tensor J_T making Hbar = c3 H1 + c4 H2 generate the original flow:
     J_T = [c3 J1 + c4 w1^2 w2^2 J2] / ((c3 - c4 w1^2)(c3 - c4 w2^2))."""
-    c1, c2 = tensor_coefficients(p, c3, c4, tol=tol)
+    c1, c2 = tensor_coefficients(p, c3, c4)
     return PoissonTensor(c1 * poisson_j1(p).matrix + c2 * poisson_j2(p).matrix)
 
 
-def tensor_coefficients(p: PuParams, c3: float, c4: float,
-                        tol: float = 1e-10) -> tuple[float, float]:
+def tensor_coefficients(p: PuParams, c3: float, c4: float) -> tuple[float, float]:
     """(c1, c2) of the flow-preserving tensor; raises when c3 = c4 w_i^2."""
     w1, w2 = p.frequencies()
     d1 = c3 - c4 * w1 * w1
     d2 = c3 - c4 * w2 * w2
     scale1 = 1e-2 + abs(c3) + abs(c4) * w1 * w1
     scale2 = 1e-2 + abs(c3) + abs(c4) * w2 * w2
-    if abs(d1) <= tol * scale1 or abs(d2) <= tol * scale2:
+    if abs(d1) <= 1e-10 * scale1 or abs(d2) <= 1e-10 * scale2:
         raise SingularStructureError(
             f"coefficients singular: c3 - c4*w^2 = ({d1:.3e}, {d2:.3e})")
     return c3 / (d1 * d2), c4 * p.beta / (d1 * d2)

@@ -8,7 +8,6 @@ records which reading survived the numerical ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,15 +54,6 @@ RESOLVED = {
         "inverse-map partials of q(x, y); the two-route trajectory comparison is the ground truth",
     "tau-symbol-collision": "tau (transform abbreviation) and tau_sm (embedding timescale) kept distinct",
 }
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    id: str
-    anchor: str
-    passed: bool
-    residual: float
-    samples: int
 
 
 def random_params(rng, beta_floor: float = 0.1) -> PuParams:

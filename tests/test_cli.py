@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, run_cli_process
 
 
 class TestUsageErrors:
@@ -29,9 +29,39 @@ class TestUsageErrors:
         assert r.returncode == 2
 
     def test_bad_env_tolerance_rejected(self):
-        r = run_cli("hierarchy", "--n", "2", "--alpha", "5", "--beta", "4",
-                    env_extra={"PU_TOL": "not-a-number"})
+        # a real process, so PU_TOL comes from the environment it starts with
+        r = run_cli_process("hierarchy", "--n", "2", "--alpha", "5", "--beta", "4",
+                            env_extra={"PU_TOL": "not-a-number"})
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("command", [["transform", "--kind", "Tb1", "--bx", "0", "--g", "1"],
+                                         ["discover"], ["flow"], ["simulate"]],
+                             ids=["transform", "discover", "flow", "simulate"])
+    def test_format_only_on_hierarchy(self, command):
+        r = run_cli(*command, "--omega1", "2", "--omega2", "1", "--format", "csv")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --format csv" in r.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--omega1", "2", "--omega2", "1", "--h", "nan"],
+        ["simulate", "--omega1", "2", "--omega2", "1", "--t-end", "inf"],
+        ["simulate", "--omega1", "2", "--omega2", "1", "--t-end", "nan"],
+        ["hierarchy", "--alpha", "nan", "--beta", "4"],
+        ["transform", "--kind", "Tb1", "--omega1", "2", "--omega2", "1", "--bx=-inf"],
+        ["flow", "--omega1", "2", "--omega2", "1", "--s", "nan"],
+        ["verify", "--omega1", "2", "--omega2", "1", "--tol", "inf"],
+    ])
+    def test_non_finite_option_rejected(self, argv):
+        r = run_cli(*argv)
+        assert r.returncode == 2
+        assert "expected a finite number" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_env_tolerance_rejected(self, value):
+        r = run_cli("hierarchy", "--n", "2", "--alpha", "5", "--beta", "4",
+                    env_extra={"PU_TOL": value})
+        assert r.returncode == 2
+        assert "PU_TOL" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestDomainErrors:

@@ -128,6 +128,12 @@ class TestIntegration:
         with pytest.raises(InvalidInputError):
             integrate(LinearField(p54), PhaseState(1, 0, 0, 0), 0.5, 0.2)
 
+    @pytest.mark.parametrize("h, t_end", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                          (1e-3, math.nan), (1e-3, math.inf)])
+    def test_non_finite_step_or_end_rejected(self, p54, h, t_end):
+        with pytest.raises(InvalidInputError, match="finite"):
+            integrate(LinearField(p54), PhaseState(1, 0, 0, 0), h, t_end)
+
 
 def vector_rk4(p, pot, w, h, n_steps):
     """The integrator in vector form: numpy 4-vectors and a 4x4 matvec per
@@ -321,7 +327,7 @@ class TestStructureDiscovery:
         from puosc.core import companion_field, QuadHamiltonian
         k = sum(c * kk for c, kk in zip(coef, result.kernels))
         s = k @ companion_field(p54)
-        recovered = QuadHamiltonian(0.5 * (s + s.T), sym_tol=1e-8)
+        recovered = QuadHamiltonian(0.5 * (s + s.T))
         c1, c2 = coefficients_on_h1h2(p54, recovered)
         assert c1 == pytest.approx(1.0, rel=1e-9)
         assert abs(c2) <= 1e-9
