@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics, hierarchy, symmetry, transform, verify
 from .core import PuParams, flow_residual, hamiltonian_h1, hamiltonian_h2
-from .errors import PuError
+from .errors import InvalidInputError, PuError
 
 DEFAULT_TOL = 1e-9
 
@@ -81,6 +81,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tol", type=_finite_float, default=None)
     sub.add_argument("--out", type=str, default=None)
+    # post-parse usage errors are reported against the subcommand's parser
+    sub.set_defaults(subparser=sub)
 
 
 def _params_from_args(parser: argparse.ArgumentParser, args) -> PuParams:
@@ -88,11 +90,14 @@ def _params_from_args(parser: argparse.ArgumentParser, args) -> PuParams:
     ww = (args.omega1 is not None, args.omega2 is not None)
     if any(ab) and any(ww):
         parser.error("give either --alpha/--beta or --omega1/--omega2, not both")
-    if all(ww):
-        return PuParams.from_frequencies(args.omega1, args.omega2)
-    if all(ab):
+    if not (all(ww) or all(ab)):
+        parser.error("parameters required: --alpha with --beta, or --omega1 with --omega2")
+    try:
+        if all(ww):
+            return PuParams.from_frequencies(args.omega1, args.omega2)
         return PuParams(args.alpha, args.beta)
-    parser.error("parameters required: --alpha with --beta, or --omega1 with --omega2")
+    except InvalidInputError as exc:
+        parser.error(str(exc))
 
 
 def _tol_from_args(parser: argparse.ArgumentParser, args) -> float:
@@ -250,7 +255,10 @@ def _cmd_simulate(parser, args) -> int:
     v0 = dynamics.eval_solution(sol, 0.0)
     pot = None
     if args.potential:
-        pot = dynamics.parse_potential(args.potential, kind=args.potential_kind)
+        try:
+            pot = dynamics.parse_potential(args.potential, kind=args.potential_kind)
+        except InvalidInputError as exc:
+            parser.error(f"argument --potential: {exc}")
         field = dynamics.PotentialField(p, pot)
     else:
         field = dynamics.LinearField(p)
@@ -298,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](parser, args)
+        return _COMMANDS[args.command](args.subparser, args)
     except PuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

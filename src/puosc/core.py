@@ -5,6 +5,20 @@ linear flow on the phase vector (q, qd, qdd, qddd).  All Hamiltonians are
 quadratic forms stored as symmetric 4x4 matrices and all brackets are
 constant antisymmetric 4x4 tensors, so every structural identity reduces to
 matrix algebra.
+
+Forms and tensors are built on one of two paths.  The public constructors
+``QuadHamiltonian(s)`` and ``PoissonTensor(j)`` take any input: they copy it,
+require a finite square matrix, reject one whose (anti)symmetric part misses
+it by more than 1e-12 relative, and store 0.5 * (a +- a.T).  The private
+``_exact(a)`` constructors are for float arrays the library has made
+(anti)symmetric by construction: sums, differences and scalings of forms,
+symmetrized brackets, literal matrices, outer products and diagonals.  They
+keep the finiteness test and the same symmetrization, so the stored bits and
+the raised errors match the public path, and skip only the copy, the shape
+check and the asymmetry test, which cannot fire on such input.  Products such
+as W^T S W (pullbacks, Lie derivatives, basis changes) stay on the public
+path: BLAS may round their two triangles differently, so the asymmetry test
+means something there.
 """
 from __future__ import annotations
 
@@ -14,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ParameterDomainError
-from .linalg import as_matrix
+from .linalg import as_matrix, require_finite
 
 DEFAULT_DEG_TOL = 1e-8
 
@@ -28,6 +42,12 @@ class PuParams:
     omega1: float | None = None
     omega2: float | None = None
     deg_tol: float = DEFAULT_DEG_TOL
+
+    def __post_init__(self):
+        for name in ("omega1", "omega2", "alpha", "beta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidInputError(f"parameter {name} must be finite, got {value!r}")
 
     @classmethod
     def from_frequencies(cls, omega1: float, omega2: float,
@@ -79,6 +99,12 @@ class PhaseState:
         return cls(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
 
 
+def _store(form, a: np.ndarray):
+    a.flags.writeable = False
+    object.__setattr__(form, "matrix", a)
+    return form
+
+
 def _tovec(v) -> np.ndarray:
     if hasattr(v, "as_array"):
         return v.as_array()
@@ -94,9 +120,13 @@ class QuadHamiltonian:
         a = as_matrix(s, square=True)
         if np.linalg.norm(a - a.T) > 1e-12 * (1.0 + np.linalg.norm(a)):
             raise InvalidInputError("Hamiltonian matrix is not symmetric")
-        a = 0.5 * (a + a.T)
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
+        _store(self, 0.5 * (a + a.T))
+
+    @classmethod
+    def _exact(cls, a: np.ndarray) -> "QuadHamiltonian":
+        """The form of a float array that is symmetric by construction."""
+        require_finite(a)
+        return _store(object.__new__(cls), 0.5 * (a + a.T))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadHamiltonian is immutable")
@@ -109,18 +139,18 @@ class QuadHamiltonian:
         return self.matrix @ _tovec(v)
 
     def __add__(self, other: "QuadHamiltonian") -> "QuadHamiltonian":
-        return QuadHamiltonian(self.matrix + other.matrix)
+        return QuadHamiltonian._exact(self.matrix + other.matrix)
 
     def __sub__(self, other: "QuadHamiltonian") -> "QuadHamiltonian":
-        return QuadHamiltonian(self.matrix - other.matrix)
+        return QuadHamiltonian._exact(self.matrix - other.matrix)
 
     def __mul__(self, c: float) -> "QuadHamiltonian":
-        return QuadHamiltonian(self.matrix * float(c))
+        return QuadHamiltonian._exact(self.matrix * float(c))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "QuadHamiltonian":
-        return QuadHamiltonian(-self.matrix)
+        return QuadHamiltonian._exact(-self.matrix)
 
     def __repr__(self):
         return f"QuadHamiltonian({self.matrix.tolist()})"
@@ -135,9 +165,13 @@ class PoissonTensor:
         a = as_matrix(j, square=True)
         if np.linalg.norm(a + a.T) > 1e-12 * (1.0 + np.linalg.norm(a)):
             raise InvalidInputError("Poisson tensor is not antisymmetric")
-        a = 0.5 * (a - a.T)
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
+        _store(self, 0.5 * (a - a.T))
+
+    @classmethod
+    def _exact(cls, a: np.ndarray) -> "PoissonTensor":
+        """The tensor of a float array that is antisymmetric by construction."""
+        require_finite(a)
+        return _store(object.__new__(cls), 0.5 * (a - a.T))
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonTensor is immutable")
@@ -159,34 +193,34 @@ def companion_field(p: PuParams) -> np.ndarray:
 def hamiltonian_h1(p: PuParams) -> QuadHamiltonian:
     """H1 = qdd^2/2 - alpha qd^2/2 - beta q^2/2 - qd qddd."""
     a, b = p.alpha, p.beta
-    return QuadHamiltonian([
+    return QuadHamiltonian._exact(np.array([
         [-b, 0.0, 0.0, 0.0],
         [0.0, -a, 0.0, -1.0],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, -1.0, 0.0, 0.0],
-    ])
+    ], dtype=float))
 
 
 def hamiltonian_h2(p: PuParams) -> QuadHamiltonian:
     """H2 = beta qd^2/2 - alpha qdd^2/2 - qddd^2/2 - beta q qdd."""
     a, b = p.alpha, p.beta
-    return QuadHamiltonian([
+    return QuadHamiltonian._exact(np.array([
         [0.0, 0.0, -b, 0.0],
         [0.0, b, 0.0, 0.0],
         [-b, 0.0, -a, 0.0],
         [0.0, 0.0, 0.0, -1.0],
-    ])
+    ], dtype=float))
 
 
 def poisson_j1(p: PuParams) -> PoissonTensor:
     """First bracket: {qd,qdd}=1, {qddd,q}=1, {qdd,qddd}=alpha."""
     a = p.alpha
-    return PoissonTensor([
+    return PoissonTensor._exact(np.array([
         [0.0, 0.0, 0.0, -1.0],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, -1.0, 0.0, a],
         [1.0, 0.0, -a, 0.0],
-    ])
+    ], dtype=float))
 
 
 def poisson_j2(p: PuParams) -> PoissonTensor:
@@ -194,12 +228,17 @@ def poisson_j2(p: PuParams) -> PoissonTensor:
     if p.beta == 0.0:
         raise ParameterDomainError("second Poisson tensor requires beta != 0")
     ib = 1.0 / p.beta
-    return PoissonTensor([
+    return PoissonTensor._exact(np.array([
         [0.0, ib, 0.0, 0.0],
         [-ib, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, -1.0],
         [0.0, 0.0, 1.0, 0.0],
-    ])
+    ], dtype=float))
+
+
+def combined_tensor(p: PuParams, c1: float, c2: float) -> PoissonTensor:
+    """The tensor c1 J1 + c2 J2."""
+    return PoissonTensor._exact(c1 * poisson_j1(p).matrix + c2 * poisson_j2(p).matrix)
 
 
 def flow_residual(j: PoissonTensor, h: QuadHamiltonian, p: PuParams) -> float:
@@ -220,7 +259,7 @@ def quad_bracket(j: PoissonTensor, f: QuadHamiltonian, g: QuadHamiltonian) -> Qu
     """
     sf, sg, jm = f.matrix, g.matrix, j.matrix
     b = sf @ jm @ sg - sg @ jm @ sf
-    return QuadHamiltonian(0.5 * (b + b.T))
+    return QuadHamiltonian._exact(0.5 * (b + b.T))
 
 
 def ostrogradsky_matrix(p: PuParams) -> np.ndarray:
@@ -237,19 +276,19 @@ def ostrogradsky_matrix(p: PuParams) -> np.ndarray:
 def ostrogradsky_hamiltonian(p: PuParams) -> QuadHamiltonian:
     """H(q1,q2,pi1,pi2) = pi1 q2 + pi2^2/2 + alpha q2^2/2 - beta q1^2/2."""
     a, b = p.alpha, p.beta
-    return QuadHamiltonian([
+    return QuadHamiltonian._exact(np.array([
         [-b, 0.0, 0.0, 0.0],
         [0.0, a, 1.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-    ])
+    ], dtype=float))
 
 
 def canonical_tensor() -> PoissonTensor:
     """Canonical bracket {q_i, pi_j} = delta_ij on (q1, q2, pi1, pi2)."""
-    return PoissonTensor([
+    return PoissonTensor._exact(np.array([
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
         [-1.0, 0.0, 0.0, 0.0],
         [0.0, -1.0, 0.0, 0.0],
-    ])
+    ], dtype=float))

@@ -99,7 +99,14 @@ def parse_potential(text: str, kind: str = "on_q") -> Potential:
             key, _, val = item.partition("=")
             if key.strip() != "lam" or not val:
                 raise InvalidInputError(f"bad potential parameter {item!r} (expected lam=<value>)")
-            kwargs["lam"] = float(val)
+            try:
+                lam = float(val)
+            except ValueError:
+                lam = math.nan
+            if not math.isfinite(lam):
+                raise InvalidInputError(
+                    f"potential parameter lam: expected a finite number, got {val!r}")
+            kwargs["lam"] = lam
     return _POTENTIALS[name](kind=kind, **kwargs)
 
 
@@ -395,7 +402,7 @@ def structure_discovery(p: PuParams, tol: float = 1e-12) -> DiscoveryResult:
             continue
         # the inverse is antisymmetric only to about cond(k) * eps
         jinv = inverse(k)
-        j = PoissonTensor(0.5 * (jinv - jinv.T))
+        j = PoissonTensor._exact(0.5 * (jinv - jinv.T))
         s = k @ m
-        pairs.append((j, QuadHamiltonian(0.5 * (s + s.T))))
+        pairs.append((j, QuadHamiltonian._exact(0.5 * (s + s.T))))
     return DiscoveryResult(pairs=pairs, kernels=kernels, skipped=skipped)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PoissonTensor, PuParams, QuadHamiltonian,
+from .core import (PoissonTensor, PuParams, QuadHamiltonian, combined_tensor,
                    hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2,
                    quad_bracket)
 from .errors import (DecompositionUndefinedError, DegenerateCombinationError,
@@ -63,7 +63,7 @@ def next_charge(p: PuParams, h: QuadHamiltonian) -> QuadHamiltonian:
     asym = np.linalg.norm(product - product.T)
     if asym > 1e-10 * (1.0 + np.linalg.norm(product)):
         raise RecursionBreakdownError(f"recursion step asymmetric by {asym:.3e}")
-    return QuadHamiltonian(0.5 * (product + product.T))
+    return QuadHamiltonian._exact(0.5 * (product + product.T))
 
 
 def charge_ladder(p: PuParams, depth: int = 4) -> ChargeLadder:
@@ -151,9 +151,8 @@ def combine(p: PuParams, c1: float, c2: float) -> CombinedStructure:
             f"c2 = c1*omega_i^2 within tolerance (denominator {denom:.3e})")
     c3 = c1 * p.beta / denom
     c4 = c2 / denom
-    jbar = PoissonTensor(c1 * poisson_j1(p).matrix + c2 * poisson_j2(p).matrix)
     hbar = c3 * hamiltonian_h1(p) + c4 * hamiltonian_h2(p)
-    return CombinedStructure(c1, c2, c3, c4, jbar, hbar)
+    return CombinedStructure(c1, c2, c3, c4, combined_tensor(p, c1, c2), hbar)
 
 
 def _pd_squared_frequencies(p: PuParams) -> tuple[float, float]:
@@ -170,7 +169,7 @@ def _square_piece(prefactor: float, wi_sq: float, wj_sq: float) -> QuadHamiltoni
     """prefactor/2 * [(qddd + wj^2 qd)^2 + wi^2 (qdd + wj^2 q)^2] as a form."""
     u = np.array([0.0, wj_sq, 0.0, 1.0])       # qddd + wj^2 qd
     w = np.array([wj_sq, 0.0, 1.0, 0.0])       # qdd + wj^2 q
-    return QuadHamiltonian(prefactor * (np.outer(u, u) + wi_sq * np.outer(w, w)))
+    return QuadHamiltonian._exact(prefactor * (np.outer(u, u) + wi_sq * np.outer(w, w)))
 
 
 def pd_decompose(p: PuParams, c1: float, c2: float) -> PdDecomposition:

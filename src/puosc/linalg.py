@@ -17,13 +17,18 @@ _EXPM_ORDER = 8
 _EXPM_THETA = 0.1
 
 
+def require_finite(a: np.ndarray) -> None:
+    """Raise InvalidInputError unless every entry of the array is finite."""
+    if not np.isfinite(a).all():
+        raise InvalidInputError("matrix has non-finite entries")
+
+
 def as_matrix(m, square: bool = False) -> np.ndarray:
     """Validate and return a float copy of a 2-D matrix."""
     a = np.array(m, dtype=float)
     if a.ndim != 2:
         raise InvalidInputError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("matrix has non-finite entries")
+    require_finite(a)
     if square and a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
     return a

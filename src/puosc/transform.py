@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
-                   hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2)
+                   combined_tensor, hamiltonian_h1, hamiltonian_h2)
 from .errors import (ComplexBranchError, ConstructionError,
                      DegenerateLegendreError, InvalidInputError,
                      NonInvertibleTransformError, SingularStructureError)
@@ -218,8 +218,8 @@ def legendre(spec: TransformSpec) -> QuadHamiltonian:
     if spec.ay == 0.0:
         raise DegenerateLegendreError(
             f"{spec.kind}: ay = 0, use the reduced pullback route instead")
-    return QuadHamiltonian(np.diag([spec.bx, spec.by, 1.0 / spec.ax, 1.0 / spec.ay])
-                           + spec.g * _xy_coupling())
+    return QuadHamiltonian._exact(np.diag([spec.bx, spec.by, 1.0 / spec.ax, 1.0 / spec.ay])
+                                  + spec.g * _xy_coupling())
 
 
 def _xy_coupling() -> np.ndarray:
@@ -241,7 +241,7 @@ def pullback_form(spec: TransformSpec, p: PuParams) -> QuadHamiltonian:
         xrow = np.array([mu0, 0.0, mu2, 0.0])
         prow = np.array([0.0, spec.ax * mu0, 0.0, spec.ax * mu2])
         s = (np.outer(prow, prow) / spec.ax) + bx_eff * np.outer(xrow, xrow)
-        return QuadHamiltonian(s)
+        return QuadHamiltonian._exact(s)
     w = jacobian(spec)
     return QuadHamiltonian(w.T @ legendre(spec).matrix @ w)
 
@@ -276,8 +276,7 @@ def catalog_pullback_coefficients(spec: TransformSpec, p: PuParams) -> tuple[flo
 def flow_preserving_tensor(p: PuParams, c3: float, c4: float) -> PoissonTensor:
     """The tensor J_T making Hbar = c3 H1 + c4 H2 generate the original flow:
     J_T = [c3 J1 + c4 w1^2 w2^2 J2] / ((c3 - c4 w1^2)(c3 - c4 w2^2))."""
-    c1, c2 = tensor_coefficients(p, c3, c4)
-    return PoissonTensor(c1 * poisson_j1(p).matrix + c2 * poisson_j2(p).matrix)
+    return combined_tensor(p, *tensor_coefficients(p, c3, c4))
 
 
 def tensor_coefficients(p: PuParams, c3: float, c4: float) -> tuple[float, float]:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import dynamics, hierarchy, linalg, symmetry, transform
-from .core import (PhaseState, PoissonTensor, PuParams, canonical_tensor,
+from .core import (PhaseState, PuParams, canonical_tensor, combined_tensor,
                    companion_field, flow_residual, hamiltonian_h1,
                    hamiltonian_h2, ostrogradsky_hamiltonian, ostrogradsky_matrix,
                    poisson_j1, poisson_j2)
@@ -458,8 +458,7 @@ def _check_pushforward_formula(p, rng, tol):
         except PuError:
             continue
         c1, c2 = rng.uniform(-2.0, 2.0, 2)
-        jq = c1 * poisson_j1(pp).matrix + c2 * poisson_j2(pp).matrix
-        table = transform.pushforward_brackets(spec, PoissonTensor(jq))
+        table = transform.pushforward_brackets(spec, combined_tensor(pp, c1, c2))
         mu0, _, mu2 = spec.mu
         nu0, _, nu2 = spec.nu
         ax, ay = spec.ax, spec.ay

@@ -50,11 +50,23 @@ class TestUsageErrors:
         ["transform", "--kind", "Tb1", "--omega1", "2", "--omega2", "1", "--bx=-inf"],
         ["flow", "--omega1", "2", "--omega2", "1", "--s", "nan"],
         ["verify", "--omega1", "2", "--omega2", "1", "--tol", "inf"],
+        ["simulate", "--omega1", "2", "--omega2", "1", "--potential", "quartic:lam=nan"],
+        ["simulate", "--omega1", "2", "--omega2", "1", "--potential", "quartic:lam=inf"],
     ])
     def test_non_finite_option_rejected(self, argv):
         r = run_cli(*argv)
         assert r.returncode == 2
         assert "expected a finite number" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["hierarchy", "--alpha", "5", "--beta", "4", "--tol", "-1"],
+        ["hierarchy", "--alpha", "5", "--omega1", "2", "--omega2", "1"],
+        ["hierarchy", "--omega1", "1e200", "--omega2", "1"],
+    ], ids=["tolerance", "both-styles", "overflowing-frequency"])
+    def test_post_parse_error_names_subcommand(self, argv):
+        r = run_cli(*argv)
+        assert r.returncode == 2
+        assert r.stderr.startswith("usage: puosc hierarchy")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_env_tolerance_rejected(self, value):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from puosc.core import (PhaseState, PuParams, QuadHamiltonian, canonical_tensor,
-                        companion_field, flow_residual, hamiltonian_h1,
-                        hamiltonian_h2, ostrogradsky_hamiltonian,
+from puosc import transform
+from puosc.core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
+                        canonical_tensor, companion_field, flow_residual,
+                        hamiltonian_h1, hamiltonian_h2, ostrogradsky_hamiltonian,
                         ostrogradsky_matrix, poisson_j1, poisson_j2,
                         quad_bracket)
 from puosc.errors import InvalidInputError, ParameterDomainError
-from puosc.hierarchy import charge_ladder
+from puosc.hierarchy import _square_piece, charge_ladder, combine
 from puosc.linalg import expm, inverse
 from puosc.verify import random_freq_params, random_params
 
@@ -33,6 +34,14 @@ class TestParams:
     def test_nonfinite_state_rejected(self):
         with pytest.raises(InvalidInputError):
             PhaseState(1.0, float("inf"), 0.0, 0.0)
+
+    def test_nonfinite_alpha_rejected(self):
+        with pytest.raises(InvalidInputError, match="alpha"):
+            PuParams(float("nan"), 4.0)
+
+    def test_nonfinite_frequency_rejected(self):
+        with pytest.raises(InvalidInputError, match="omega1"):
+            PuParams.from_frequencies(float("inf"), 1.0)
 
 
 class TestCompanion:
@@ -157,6 +166,68 @@ class TestQuadBracket:
             b = quad_bracket(j, ladder[3], ladder[4]).matrix
             assert np.array_equal(b, b.T)
             assert np.linalg.norm(b) <= 1e-10
+
+
+def _signed_zero_forms(rng):
+    """Two symmetric forms whose matrices hold +0.0 and -0.0 entries."""
+    forms = []
+    for _ in range(2):
+        a = rng.uniform(-2.0, 2.0, (4, 4))
+        a = a + a.T
+        a[0, 1] = a[1, 0] = -0.0
+        a[2, 3] = a[3, 2] = 0.0
+        a[1, 1] = -0.0
+        forms.append(QuadHamiltonian(a))
+    return forms
+
+
+_P21 = PuParams.from_frequencies(2.0, 1.0)
+
+# each case builds its result through the library; the test compares it
+# with the same call routed through the public constructors
+_EXACT_SITES = {
+    "sum": lambda f, g: f + g,
+    "difference": lambda f, g: f - g,
+    "negative-scaling": lambda f, g: -2.75 * f,
+    "negative-zero-scaling": lambda f, g: g * -0.0,
+    "negation": lambda f, g: -f,
+    "quad-bracket": lambda f, g: quad_bracket(poisson_j2(_P21), f, g),
+    "combine-jbar": lambda f, g: combine(_P21, -1.3, -0.7).jbar,
+    "combine-hbar": lambda f, g: combine(_P21, -1.3, -0.7).hbar,
+    "legendre-ta2": lambda f, g: transform.legendre(
+        transform.build("Ta2+", _P21, ax=1.0, ay=-1.0, g=0.3)),
+    "legendre-tb1": lambda f, g: transform.legendre(
+        transform.build("Tb1", _P21, ax=1.0, bx=2.0, g=-0.5)),
+    "pullback-tb2": lambda f, g: transform.pullback_form(
+        transform.build("Tb2-", _P21, ax=0.7, by=-1.3, g=0.4), _P21),
+    "square-piece": lambda f, g: _square_piece(-0.6, 4.0, 1.0),
+}
+
+
+class TestExactConstruction:
+    @pytest.mark.parametrize("site", _EXACT_SITES)
+    def test_same_bits_as_public_constructor(self, site, monkeypatch):
+        f, g = _signed_zero_forms(np.random.default_rng(7))
+        fast = _EXACT_SITES[site](f, g)
+        for cls in (QuadHamiltonian, PoissonTensor):
+            monkeypatch.setattr(cls, "_exact", classmethod(lambda c, a: c(a)))
+        slow = _EXACT_SITES[site](f, g)
+        assert type(fast) is type(slow)
+        assert fast.matrix.tobytes() == slow.matrix.tobytes()
+        assert not fast.matrix.flags.writeable
+
+    def test_signed_zeros_survive_sums(self):
+        f, g = _signed_zero_forms(np.random.default_rng(7))
+        assert np.signbit((f + g).matrix[0, 1]) and not np.signbit((f + g).matrix[2, 3])
+
+    def test_overflowing_scaling_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="non-finite"):
+            hamiltonian_h1(PuParams(5.0, 4.0)) * 1e308
+
+    def test_overflowing_literal_raises(self):
+        # 1 / 1e-320 overflows to inf
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            poisson_j2(PuParams(5.0, 1e-320))
 
 
 class TestOstrogradsky:

@@ -88,6 +88,9 @@ class TestPotentials:
             parse_potential("sextic")
         with pytest.raises(InvalidInputError):
             parse_potential("quartic:mass=2")
+        for value in ("nan", "inf", "-inf", "abc"):
+            with pytest.raises(InvalidInputError, match="expected a finite number"):
+                parse_potential(f"quartic:lam={value}")
 
 
 class TestIntegration:
