@@ -8,17 +8,20 @@ matrix algebra.
 
 Forms and tensors are built on one of two paths.  The public constructors
 ``QuadHamiltonian(s)`` and ``PoissonTensor(j)`` take any input: they copy it,
-require a finite square matrix, reject one whose (anti)symmetric part misses
-it by more than 1e-12 relative, and store 0.5 * (a +- a.T).  The private
-``_exact(a)`` constructors are for float arrays the library has made
-(anti)symmetric by construction: sums, differences and scalings of forms,
-symmetrized brackets, literal matrices, outer products and diagonals.  They
-keep the finiteness test and the same symmetrization, so the stored bits and
-the raised errors match the public path, and skip only the copy, the shape
-check and the asymmetry test, which cannot fire on such input.  Products such
-as W^T S W (pullbacks, Lie derivatives, basis changes) stay on the public
-path: BLAS may round their two triangles differently, so the asymmetry test
-means something there.
+require a finite square matrix, and reject one whose (anti)symmetric part
+misses it by more than 1e-12 relative.  The private ``_exact(a)``
+constructors are for float arrays the library has made (anti)symmetric by
+construction: sums, differences and scalings of forms, symmetrized brackets,
+literal matrices, outer products and diagonals.  They call ``__init__`` with
+the private ``_trusted`` flag, so every build still runs ``__init__``, and
+skip the copy, the shape check and the asymmetry test, which cannot fire on
+such input.  Both
+paths then store 0.5 * (a +- a.T) and require that stored array to be
+finite, which also catches a symmetrization that overflows; so the stored
+bits and the raised errors are the same on either path.  Products such as
+W^T S W (pullbacks, Lie derivatives, basis changes) stay on the public path:
+BLAS may round their two triangles differently, so the asymmetry test means
+something there.
 """
 from __future__ import annotations
 
@@ -99,10 +102,10 @@ class PhaseState:
         return cls(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
 
 
-def _store(form, a: np.ndarray):
+def _store(form, a: np.ndarray) -> None:
+    require_finite(a)
     a.flags.writeable = False
     object.__setattr__(form, "matrix", a)
-    return form
 
 
 def _tovec(v) -> np.ndarray:
@@ -116,17 +119,19 @@ class QuadHamiltonian:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, s):
-        a = as_matrix(s, square=True)
-        if np.linalg.norm(a - a.T) > 1e-12 * (1.0 + np.linalg.norm(a)):
-            raise InvalidInputError("Hamiltonian matrix is not symmetric")
+    def __init__(self, s, *, _trusted: bool = False):
+        if _trusted:
+            a = s
+        else:
+            a = as_matrix(s, square=True)
+            if np.linalg.norm(a - a.T) > 1e-12 * (1.0 + np.linalg.norm(a)):
+                raise InvalidInputError("Hamiltonian matrix is not symmetric")
         _store(self, 0.5 * (a + a.T))
 
     @classmethod
     def _exact(cls, a: np.ndarray) -> "QuadHamiltonian":
         """The form of a float array that is symmetric by construction."""
-        require_finite(a)
-        return _store(object.__new__(cls), 0.5 * (a + a.T))
+        return cls(a, _trusted=True)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadHamiltonian is immutable")
@@ -161,17 +166,19 @@ class PoissonTensor:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, j):
-        a = as_matrix(j, square=True)
-        if np.linalg.norm(a + a.T) > 1e-12 * (1.0 + np.linalg.norm(a)):
-            raise InvalidInputError("Poisson tensor is not antisymmetric")
+    def __init__(self, j, *, _trusted: bool = False):
+        if _trusted:
+            a = j
+        else:
+            a = as_matrix(j, square=True)
+            if np.linalg.norm(a + a.T) > 1e-12 * (1.0 + np.linalg.norm(a)):
+                raise InvalidInputError("Poisson tensor is not antisymmetric")
         _store(self, 0.5 * (a - a.T))
 
     @classmethod
     def _exact(cls, a: np.ndarray) -> "PoissonTensor":
         """The tensor of a float array that is antisymmetric by construction."""
-        require_finite(a)
-        return _store(object.__new__(cls), 0.5 * (a - a.T))
+        return cls(a, _trusted=True)
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonTensor is immutable")

@@ -224,6 +224,17 @@ class TestExactConstruction:
         with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="non-finite"):
             hamiltonian_h1(PuParams(5.0, 4.0)) * 1e308
 
+    def test_overflowing_symmetrization_raises(self):
+        # each sum is finite, but a +- a.T then overflows
+        with np.errstate(over="ignore"):
+            h = QuadHamiltonian(np.diag([5e307, 1.0, 1.0, 1.0]))
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                h + h
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                QuadHamiltonian(np.diag([1e308, 1.0, 1.0, 1.0]))
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                PoissonTensor([[0.0, 1e308], [-1e308, 0.0]])
+
     def test_overflowing_literal_raises(self):
         # 1 / 1e-320 overflows to inf
         with pytest.raises(InvalidInputError, match="non-finite"):
