@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics, hierarchy, symmetry, transform, verify
 from .core import PuParams, flow_residual, hamiltonian_h1, hamiltonian_h2
-from .errors import InvalidInputError, PuError
+from .errors import DivergenceError, InvalidInputError, PuError
 
 DEFAULT_TOL = 1e-9
 
@@ -262,7 +262,14 @@ def _cmd_simulate(parser, args) -> int:
         field = dynamics.PotentialField(p, pot)
     else:
         field = dynamics.LinearField(p)
-    traj = dynamics.integrate(field, v0, args.h, args.t_end)
+    diverged = None
+    try:
+        traj = dynamics.integrate(field, v0, args.h, args.t_end)
+    except DivergenceError as exc:
+        # write the finite rows before it, then fail as any domain error does
+        diverged = exc
+        traj = dynamics.Trajectory(h=args.h, times=np.arange(len(exc.states)) * args.h,
+                                   states=exc.states)
     charges = list(hierarchy.charge_ladder(p, 4).charges)
     header = ["t", "q", "qd", "qdd", "qddd", "H1", "H2", "H3", "H4"]
     columns = [traj.times] + [traj.states[:, i] for i in range(4)]
@@ -273,6 +280,9 @@ def _cmd_simulate(parser, args) -> int:
         columns.append(dynamics.charge_values(traj, base, augment=pot))
     rows = np.column_stack(columns).tolist()
     _emit(_csv(header, rows), args.out)
+    if diverged is not None:
+        print(f"error: {diverged}", file=sys.stderr)
+        return 1
     return 0
 
 

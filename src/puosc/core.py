@@ -22,9 +22,23 @@ bits and the raised errors are the same on either path.  Products such as
 W^T S W (pullbacks, Lie derivatives, basis changes) stay on the public path:
 BLAS may round their two triangles differently, so the asymmetry test means
 something there.
+
+The structures that depend on (alpha, beta) alone are built once per
+``PuParams`` instance: ``companion_field``, ``hamiltonian_h1``/``h2``,
+``poisson_j1``/``j2``, ``hierarchy.recursion_operator``, the (H1, H2) basis
+of ``hierarchy.coefficients_on_h1h2`` and ``symmetry.standard_basis``.  The
+first call stores its result in the instance's ``__dict__`` and later calls
+return that same object, so every array it hands out is read-only.  The memo
+lives and dies with its instance: there is no global cache to size or clear,
+and equal but distinct parameters (alpha = 0.0 and alpha = -0.0) keep their
+own signed zeros.  It is not part of the value: fields, ``==``, ``hash`` and
+``repr`` ignore it, and a copy or an unpickled instance starts without it.
+Functions that take arguments besides the parameters (solvers, ``combine``,
+``charge_ladder``, the kernels in ``linalg``) are not memoized.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +48,7 @@ from .errors import InvalidInputError, ParameterDomainError
 from .linalg import as_matrix, require_finite
 
 DEFAULT_DEG_TOL = 1e-8
+_MEMO = "_memo"  # the key of a PuParams' memo dict in its __dict__
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,26 @@ class PuParams:
     def degenerate(self) -> bool:
         w1, w2 = self.frequencies()
         return abs(w1 * w1 - w2 * w2) <= self.deg_tol
+
+    def __getstate__(self):
+        """Copy and pickle the fields only, never the memo."""
+        state = dict(vars(self))
+        state.pop(_MEMO, None)
+        return state
+
+
+def _memoized(fn):
+    """Memoize ``fn(p)`` on the ``PuParams`` instance ``p`` (see the module
+    docstring).  A call that raises stores nothing."""
+    @functools.wraps(fn)
+    def wrapper(p: PuParams):
+        memo = vars(p).setdefault(_MEMO, {})
+        try:
+            return memo[fn]
+        except KeyError:
+            value = memo[fn] = fn(p)
+            return value
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -136,6 +171,10 @@ class QuadHamiltonian:
     def __setattr__(self, name, value):
         raise AttributeError("QuadHamiltonian is immutable")
 
+    def __reduce__(self):
+        # symmetrizing the stored matrix again reproduces its bits
+        return type(self)._exact, (self.matrix,)
+
     def value(self, v) -> float:
         x = _tovec(v)
         return float(0.5 * x @ self.matrix @ x)
@@ -183,20 +222,28 @@ class PoissonTensor:
     def __setattr__(self, name, value):
         raise AttributeError("PoissonTensor is immutable")
 
+    def __reduce__(self):
+        # symmetrizing the stored matrix again reproduces its bits
+        return type(self)._exact, (self.matrix,)
+
     def __repr__(self):
         return f"PoissonTensor({self.matrix.tolist()})"
 
 
+@_memoized
 def companion_field(p: PuParams) -> np.ndarray:
     """Matrix M of the linear flow dv/dt = M v equivalent to the fourth-order equation."""
-    return np.array([
+    m = np.array([
         [0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
         [-p.beta, 0.0, -p.alpha, 0.0],
     ])
+    m.flags.writeable = False
+    return m
 
 
+@_memoized
 def hamiltonian_h1(p: PuParams) -> QuadHamiltonian:
     """H1 = qdd^2/2 - alpha qd^2/2 - beta q^2/2 - qd qddd."""
     a, b = p.alpha, p.beta
@@ -208,6 +255,7 @@ def hamiltonian_h1(p: PuParams) -> QuadHamiltonian:
     ], dtype=float))
 
 
+@_memoized
 def hamiltonian_h2(p: PuParams) -> QuadHamiltonian:
     """H2 = beta qd^2/2 - alpha qdd^2/2 - qddd^2/2 - beta q qdd."""
     a, b = p.alpha, p.beta
@@ -219,6 +267,7 @@ def hamiltonian_h2(p: PuParams) -> QuadHamiltonian:
     ], dtype=float))
 
 
+@_memoized
 def poisson_j1(p: PuParams) -> PoissonTensor:
     """First bracket: {qd,qdd}=1, {qddd,q}=1, {qdd,qddd}=alpha."""
     a = p.alpha
@@ -230,6 +279,7 @@ def poisson_j1(p: PuParams) -> PoissonTensor:
     ], dtype=float))
 
 
+@_memoized
 def poisson_j2(p: PuParams) -> PoissonTensor:
     """Second bracket: {q,qd}=1/beta, {qdd,qddd}=-1.  Needs beta != 0."""
     if p.beta == 0.0:

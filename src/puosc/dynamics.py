@@ -154,14 +154,19 @@ class Trajectory:
 _CHUNK = 1024  # rows buffered between writes into the state array
 
 
-def _diverged(i: int, h: float) -> DivergenceError:
+def _diverged(i: int, h: float, states: np.ndarray, start: int, rows: list) -> DivergenceError:
+    """The error for a non-finite step i, carrying the finite states 0..i:
+    the buffered rows since ``start`` are flushed into ``states`` first."""
+    if rows:
+        states[start + 1:i + 1] = rows
     return DivergenceError(f"integration diverged at t = {(i + 1) * h:.6g}",
-                           t_reached=(i + 1) * h)
+                           t_reached=(i + 1) * h, states=states[:i + 1])
 
 
 def _rk4(rhs, v0, h: float, n_steps: int) -> np.ndarray:
     """Classical RK4 on four floats; ``rhs(x0, x1, x2, x3)`` returns the
-    four derivatives.  Returns the (n_steps + 1, 4) array of states."""
+    four derivatives.  Returns the (n_steps + 1, 4) array of states; a
+    non-finite step raises DivergenceError carrying the states before it."""
     states = np.empty((n_steps + 1, 4))
     states[0] = v0
     # A numpy matvec never returns -0.0, so the vector form stepped a -0.0
@@ -179,7 +184,7 @@ def _rk4(rhs, v0, h: float, n_steps: int) -> np.ndarray:
                 d0, d1, d2, d3 = rhs(w0 + h * c0, w1 + h * c1, w2 + h * c2, w3 + h * c3)
             except OverflowError:
                 # float ** n raises where numpy's float64 returned inf
-                raise _diverged(i, h) from None
+                raise _diverged(i, h, states, start, rows) from None
             w0 = w0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
             w1 = w1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
             w2 = w2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
@@ -187,7 +192,7 @@ def _rk4(rhs, v0, h: float, n_steps: int) -> np.ndarray:
             # x - x is 0.0 for finite x and nan for inf or nan: an exact
             # finiteness test that cannot overflow
             if (w0 - w0) + (w1 - w1) + (w2 - w2) + (w3 - w3) != 0.0:
-                raise _diverged(i, h)
+                raise _diverged(i, h, states, start, rows)
             rows.append((w0, w1, w2, w3))
         states[start + 1:stop + 1] = rows
         rows.clear()

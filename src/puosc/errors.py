@@ -58,11 +58,16 @@ class DegenerateLegendreError(PuError):
 
 
 class DivergenceError(PuError):
-    """Numerical integration produced non-finite values."""
+    """Numerical integration produced non-finite values.
 
-    def __init__(self, message: str, t_reached: float):
+    ``t_reached`` is the time of the first non-finite step and ``states``
+    the (k, 4) array of the finite states before it, from t = 0 on.
+    """
+
+    def __init__(self, message: str, t_reached: float, states):
         super().__init__(message)
         self.t_reached = t_reached
+        self.states = states
 
 
 class InconclusiveTestError(PuError):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PoissonTensor, PuParams, QuadHamiltonian, combined_tensor,
-                   hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2,
-                   quad_bracket)
+from .core import (PoissonTensor, PuParams, QuadHamiltonian, _memoized,
+                   combined_tensor, hamiltonian_h1, hamiltonian_h2, poisson_j1,
+                   poisson_j2, quad_bracket)
 from .errors import (DecompositionUndefinedError, DegenerateCombinationError,
                      InvalidInputError, ParameterDomainError,
                      RecursionBreakdownError)
@@ -48,11 +48,14 @@ class PdDecomposition:
     prefactor21: float
 
 
+@_memoized
 def recursion_operator(p: PuParams) -> np.ndarray:
     """R = J2^{-1} J1; S_{n+1} = R S_n."""
     if p.beta == 0.0:
         raise ParameterDomainError("charge recursion requires beta != 0")
-    return inverse(poisson_j2(p).matrix) @ poisson_j1(p).matrix
+    r = inverse(poisson_j2(p).matrix) @ poisson_j1(p).matrix
+    r.flags.writeable = False
+    return r
 
 
 def next_charge(p: PuParams, h: QuadHamiltonian) -> QuadHamiltonian:
@@ -78,10 +81,18 @@ def charge_ladder(p: PuParams, depth: int = 4) -> ChargeLadder:
     return ChargeLadder(tuple(charges))
 
 
-def coefficients_on_h1h2(p: PuParams, h: QuadHamiltonian) -> tuple[float, float]:
-    """Least-squares coordinates of a charge in the (H1, H2) plane."""
+@_memoized
+def _h1h2_basis(p: PuParams) -> np.ndarray:
+    """The 16x2 matrix whose columns are H1 and H2 flattened."""
     basis = np.column_stack([hamiltonian_h1(p).matrix.ravel(),
                              hamiltonian_h2(p).matrix.ravel()])
+    basis.flags.writeable = False
+    return basis
+
+
+def coefficients_on_h1h2(p: PuParams, h: QuadHamiltonian) -> tuple[float, float]:
+    """Least-squares coordinates of a charge in the (H1, H2) plane."""
+    basis = _h1h2_basis(p)
     target = h.matrix.ravel()
     coeff, _, _, _ = np.linalg.lstsq(basis, target, rcond=None)
     residual = np.linalg.norm(basis @ coeff - target)

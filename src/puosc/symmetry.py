@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseState, PuParams, QuadHamiltonian, companion_field
+from .core import PhaseState, PuParams, QuadHamiltonian, _memoized, companion_field
 from .errors import InvalidRegimeError
 from .linalg import as_matrix, expm, nullspace
 from .modes import TrigTerm, phase_state
@@ -30,6 +30,9 @@ class Generator:
 
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
+
+    def __reduce__(self):
+        return Generator, (self.matrix,)
 
     def __repr__(self):
         return f"Generator({self.matrix.tolist()})"
@@ -63,6 +66,7 @@ def solve_symmetries(p: PuParams, tol: float = 1e-12) -> list[Generator]:
     return [Generator(vec.reshape((4, 4), order="F")) for vec in basis]
 
 
+@_memoized
 def standard_basis(p: PuParams) -> tuple[Generator, Generator, Generator, Generator]:
     """The four commuting generators X1..X4 = (M, I/2, M^2/2, M^3 + alpha M)."""
     m = companion_field(p)

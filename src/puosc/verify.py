@@ -56,10 +56,16 @@ RESOLVED = {
 }
 
 
+def _random_sign(rng) -> float:
+    """-1.0 or +1.0 with equal odds; draws the same stream as
+    ``rng.choice([-1.0, 1.0])`` at a fifth of its cost."""
+    return (-1.0, 1.0)[rng.integers(0, 2)]
+
+
 def random_params(rng, beta_floor: float = 0.1) -> PuParams:
     """alpha in [-3, 3], |beta| in [beta_floor, 3] with a random sign."""
     alpha = rng.uniform(-3.0, 3.0)
-    beta = rng.uniform(beta_floor, 3.0) * rng.choice([-1.0, 1.0])
+    beta = rng.uniform(beta_floor, 3.0) * _random_sign(rng)
     return PuParams(alpha, beta)
 
 
@@ -75,8 +81,8 @@ def random_freq_params(rng, sep: float = 0.1) -> PuParams:
 def admissible_spec(kind: str, p: PuParams, rng) -> transform.TransformSpec:
     """A catalog transformation at drawn free parameters; raises PuError
     when the draw hits an excluded value or a complex branch."""
-    ax = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-    ay = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
+    ax = float(rng.uniform(0.3, 2.0) * _random_sign(rng))
+    ay = float(rng.uniform(0.3, 2.0) * _random_sign(rng))
     g = float(rng.uniform(-0.5, 0.5))
     if kind.startswith("Ta"):
         return transform.build(kind, p, ax=ax, ay=ay, g=g)
@@ -84,7 +90,7 @@ def admissible_spec(kind: str, p: PuParams, rng) -> transform.TransformSpec:
         return transform.build(kind, p, ax=ax, bx=float(rng.uniform(-3.0, 3.0)),
                                g=g if g != 0.0 else 0.3)
     return transform.build(kind, p, ax=ax,
-                           by=float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])), g=g)
+                           by=float(rng.uniform(0.3, 2.0) * _random_sign(rng)), g=g)
 
 
 def _nondegenerate(p: PuParams) -> PuParams:
@@ -556,7 +562,7 @@ def _check_positivity_pieces(p, rng, tol):
         w1, w2 = pp.frequencies()
         lo, hi = sorted((w1 * w1, w2 * w2))
         bx = float(rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)))
-        g = float(rng.uniform(0.3, 1.5) * rng.choice([-1.0, 1.0]))
+        g = float(rng.uniform(0.3, 1.5) * _random_sign(rng))
         try:
             dec = transform.pd_decompose_transformed("Tb1", pp, bx=bx, g=g)
         except PuError:
@@ -578,7 +584,7 @@ def _check_sm_embedding(p, rng, tol):
         mu_w = float(rng.uniform(0.3, 2.0))
         mu_z = float(rng.uniform(0.3, 2.0))
         tau_sm = float(rng.uniform(0.5, 1.5))
-        branch = int(rng.choice([-1, 1]))
+        branch = int(_random_sign(rng))
         try:
             emb = transform.sm_embedding(pp, mu_w, mu_z, tau_sm, branch)
         except PuError:

@@ -85,3 +85,28 @@ def p54():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def arrays_of(value):
+    """The matrices of a memoized structure: an array, a form or tensor, or
+    a tuple of generators."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [item.matrix for item in value]
+    return [value.matrix]
+
+
+def assert_memoized(fn, make_params):
+    """fn(p) returns one shared object per params instance, read-only and
+    byte-identical to a fresh build on a new, equal instance."""
+    p = make_params()
+    first = fn(p)
+    assert fn(p) is first
+    fresh = fn.__wrapped__(make_params())
+    assert ([a.tobytes() for a in arrays_of(first)]
+            == [a.tobytes() for a in arrays_of(fresh)])
+    for a in arrays_of(first):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -163,6 +164,18 @@ class TestSimulateCommand:
                     "--t-end", "20", "--potential", "quartic:lam=0.25")
         assert r.returncode == 1
         assert "integration diverged at t = 11.81" in r.stderr
+
+    def test_blow_up_writes_the_finite_rows(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        r = run_cli("simulate", "--omega1", "1", "--omega2", "1", "--B1", "1", "--h", "1e-3",
+                    "--t-end", "20", "--potential", "quartic:lam=0.25", "--out", str(out))
+        assert r.returncode == 1
+        assert r.stderr == "error: integration diverged at t = 11.81\n"
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 11810
+        assert float(rows[0]["t"]) == 0.0 and float(rows[-1]["t"]) < 11.81
+        assert list(rows[0]) == ["t", "q", "qd", "qdd", "qddd", "H1", "H2", "H3", "H4", "Hint"]
+        assert all(math.isfinite(float(row["q"])) for row in rows)
 
     def test_degenerate_growth_visible_in_csv(self, tmp_path):
         out = tmp_path / "traj.csv"

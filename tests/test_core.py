@@ -1,5 +1,10 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
+from conftest import arrays_of, assert_memoized
 
 from puosc import transform
 from puosc.core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
@@ -8,8 +13,9 @@ from puosc.core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
                         ostrogradsky_matrix, poisson_j1, poisson_j2,
                         quad_bracket)
 from puosc.errors import InvalidInputError, ParameterDomainError
-from puosc.hierarchy import _square_piece, charge_ladder, combine
+from puosc.hierarchy import _square_piece, charge_ladder, combine, recursion_operator
 from puosc.linalg import expm, inverse
+from puosc.symmetry import standard_basis
 from puosc.verify import random_freq_params, random_params
 
 
@@ -239,6 +245,75 @@ class TestExactConstruction:
         # 1 / 1e-320 overflows to inf
         with pytest.raises(InvalidInputError, match="non-finite"):
             poisson_j2(PuParams(5.0, 1e-320))
+
+
+_CORE_MEMOIZED = [companion_field, hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2]
+_ROUND_TRIPS = pytest.mark.parametrize(
+    "roundtrip", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"])
+
+
+class TestMemo:
+    @pytest.mark.parametrize("fn", _CORE_MEMOIZED, ids=lambda fn: fn.__name__)
+    def test_one_shared_read_only_build_per_params(self, fn):
+        assert_memoized(fn, lambda: PuParams.from_frequencies(1.7, 0.6))
+
+    @pytest.mark.parametrize("fn", _CORE_MEMOIZED, ids=lambda fn: fn.__name__)
+    def test_equal_params_keep_their_own_signed_zeros(self, fn):
+        # 0.0 == -0.0, so a cache keyed by value would hand one the other's bits
+        plus, minus = PuParams(0.0, 4.0), PuParams(-0.0, 4.0)
+        assert plus == minus and hash(plus) == hash(minus)
+        for p in (plus, minus, plus):
+            want = fn.__wrapped__(p)
+            assert ([a.tobytes() for a in arrays_of(fn(p))]
+                    == [a.tobytes() for a in arrays_of(want)])
+        assert companion_field(plus).tobytes() != companion_field(minus).tobytes()
+
+    def test_replaced_params_start_empty(self):
+        p = PuParams(5.0, 4.0)
+        companion_field(p)
+        q = dataclasses.replace(p, alpha=3.0)
+        assert companion_field(q)[3, 2] == -3.0
+        assert companion_field(p)[3, 2] == -5.0
+
+    def test_value_semantics_unchanged(self):
+        p, q = PuParams(5.0, 4.0), PuParams(5.0, 4.0)
+        before = (p == q, hash(p), repr(p), dataclasses.astuple(p))
+        charge_ladder(p, 6)
+        standard_basis(p)
+        assert (p == q, hash(p), repr(p), dataclasses.astuple(p)) == before
+
+    @_ROUND_TRIPS
+    def test_params_copy_after_memoized_calls(self, roundtrip):
+        p = PuParams.from_frequencies(2.0, 1.0)
+        charge_ladder(p, 6)
+        q = roundtrip(p)
+        assert q == p and repr(q) == repr(p)
+        assert hamiltonian_h1(q) is not hamiltonian_h1(p)
+        assert recursion_operator(q).tobytes() == recursion_operator(p).tobytes()
+        assert not recursion_operator(q).flags.writeable
+
+
+_SHAPES = {
+    "QuadHamiltonian": lambda: _signed_zero_forms(np.random.default_rng(3))[0],
+    # half the smallest subnormal rounds to +0.0 above and -0.0 below the diagonal
+    "PoissonTensor": lambda: PoissonTensor([[0.0, 5e-324, 1.0], [0.0, 0.0, 2.0],
+                                            [-1.0, -2.0, 0.0]]),
+    "Generator": lambda: standard_basis(PuParams(-5.0, 4.0))[3],
+}
+
+
+class TestCopyAndPickle:
+    @_ROUND_TRIPS
+    @pytest.mark.parametrize("make", _SHAPES.values(), ids=_SHAPES.keys())
+    def test_round_trip_keeps_bits(self, make, roundtrip):
+        original = make()
+        back = roundtrip(original)
+        assert type(back) is type(original)
+        assert back.matrix.tobytes() == original.matrix.tobytes()
+        assert not back.matrix.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            back.matrix = None
 
 
 class TestOstrogradsky:

@@ -121,9 +121,15 @@ class TestIntegration:
 
     def test_divergence_reports_time(self):
         p = PuParams(0.0, -1.0)  # real exponential branch
+        v0 = PhaseState(1, 1, 1, 1)
         with pytest.raises(DivergenceError) as err:
-            integrate(LinearField(p), PhaseState(1, 1, 1, 1), 0.05, 800.0)
+            integrate(LinearField(p), v0, 0.05, 800.0)
         assert 0.0 < err.value.t_reached < 800.0
+        want, t_reached = vector_rk4(p, None, v0.as_array(), 0.05, 16000)
+        assert err.value.t_reached == t_reached
+        # more than one chunk of rows: the buffer is flushed before the raise
+        assert len(err.value.states) == round(t_reached / 0.05) > 1024
+        assert np.array_equal(err.value.states, want)
 
     def test_bad_step_rejected(self, p54):
         with pytest.raises(InvalidInputError):
@@ -196,12 +202,13 @@ class TestScalarLoop:
     ], ids=["on_q", "on_qdd"])
     def test_overflow_is_divergence_at_the_vector_forms_time(self, p54, pot, v0, h):
         # float ** 3 overflows with OverflowError where float64 gave inf
-        _, t_reached = vector_rk4(p54, pot, v0.as_array(), h, int(round(50.0 / h)))
+        want, t_reached = vector_rk4(p54, pot, v0.as_array(), h, int(round(50.0 / h)))
         assert t_reached is not None
         with pytest.raises(DivergenceError) as err:
             integrate(PotentialField(p54, pot), v0, h, 50.0)
         assert err.value.t_reached == t_reached
         assert str(err.value) == f"integration diverged at t = {t_reached:.6g}"
+        assert np.array_equal(err.value.states, want)
 
 
 class TestConservation:

@@ -1,17 +1,43 @@
 import numpy as np
 import pytest
+from conftest import assert_memoized
 
+from puosc import hierarchy
 from puosc.core import (PuParams, QuadHamiltonian, companion_field, flow_residual,
                         hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2)
 from puosc.errors import (DecompositionUndefinedError, DegenerateCombinationError,
                           ParameterDomainError, RecursionBreakdownError)
-from puosc.hierarchy import (charge_ladder, coefficients_on_h1h2, combine,
-                             involution_residual, ladder_via_x3, next_charge,
-                             pd_decompose, pd_window, pu_polynomial,
-                             x3_action_ladder, x4_pair)
+from puosc.hierarchy import (_h1h2_basis, charge_ladder, coefficients_on_h1h2,
+                             combine, involution_residual, ladder_via_x3,
+                             next_charge, pd_decompose, pd_window, pu_polynomial,
+                             recursion_operator, x3_action_ladder, x4_pair)
 from puosc.linalg import expm, leading_minors
 from puosc.symmetry import standard_basis
 from puosc.verify import random_freq_params, random_params
+
+
+class TestMemo:
+    @pytest.mark.parametrize("fn", [recursion_operator, _h1h2_basis, standard_basis],
+                             ids=lambda fn: fn.__name__)
+    def test_one_shared_read_only_build_per_params(self, fn):
+        assert_memoized(fn, lambda: PuParams(-1.5, 0.7))
+
+    def test_ladder_inverts_j2_once(self, monkeypatch):
+        calls = []
+        real = hierarchy.inverse
+        monkeypatch.setattr(hierarchy, "inverse", lambda m: calls.append(1) or real(m))
+        p = PuParams.from_frequencies(2.0, 1.0)
+        ladder = charge_ladder(p, 6).charges
+        for charge in ladder:
+            coefficients_on_h1h2(p, charge)
+        assert len(calls) == 1
+        assert charge_ladder(p, 6).charges[5].matrix.tobytes() == ladder[5].matrix.tobytes()
+
+    def test_failed_build_is_not_stored(self):
+        p = PuParams(5.0, 0.0)
+        for _ in range(2):
+            with pytest.raises(ParameterDomainError):
+                recursion_operator(p)
 
 
 class TestRecursion:
