@@ -73,12 +73,13 @@ _finite_float = _argument_type(float, math.isfinite, "a finite number")
 _nonnegative_int = _argument_type(int, lambda v: v >= 0, "a non-negative integer")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, seed: bool = True) -> None:
     sub.add_argument("--alpha", type=_finite_float, default=None)
     sub.add_argument("--beta", type=_finite_float, default=None)
     sub.add_argument("--omega1", type=_finite_float, default=None)
     sub.add_argument("--omega2", type=_finite_float, default=None)
-    sub.add_argument("--seed", type=int, default=0)
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tol", type=_finite_float, default=None)
     sub.add_argument("--out", type=str, default=None)
     # post-parse usage errors are reported against the subcommand's parser
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--g", type=_finite_float, default=0.0)
 
     p_flow = subs.add_parser("flow", help="sample a symmetry-group flow")
-    _add_common(p_flow)
+    _add_common(p_flow, seed=False)
     p_flow.add_argument("--generator", choices=("X1", "X2", "X3", "X4"), default="X3")
     p_flow.add_argument("--s", type=_finite_float, default=1.0)
     p_flow.add_argument("--t-end", dest="t_end", type=_finite_float, default=10.0)
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_flow.add_argument(f"--{amp}", type=_finite_float, default=0.0)
 
     p_sim = subs.add_parser("simulate", help="integrate and monitor charges")
-    _add_common(p_sim)
+    _add_common(p_sim, seed=False)
     p_sim.add_argument("--h", type=_finite_float, default=1e-3)
     p_sim.add_argument("--t-end", dest="t_end", type=_finite_float, default=10.0)
     p_sim.add_argument("--potential", type=str, default=None,
@@ -163,17 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_verify(parser, args) -> int:
-    p = _params_from_args(parser, args)
-    tol = _tol_from_args(parser, args)
-    report = verify.run_verification(p, seed=args.seed, tol=tol)
+def _cmd_verify(parser, args, p: PuParams) -> int:
+    report = verify.run_verification(p, seed=args.seed, tol=args.tol)
     _emit(_json_dump(report), args.out)
     return 0 if report["pass"] else 1
 
 
-def _cmd_hierarchy(parser, args) -> int:
-    p = _params_from_args(parser, args)
-    _tol_from_args(parser, args)
+def _cmd_hierarchy(parser, args, p: PuParams) -> int:
     if args.n < 1 or args.n > hierarchy.MAX_LADDER_DEPTH:
         parser.error(f"--n must be in 1..{hierarchy.MAX_LADDER_DEPTH}")
     ladder = hierarchy.charge_ladder(p, args.n)
@@ -192,9 +189,7 @@ def _cmd_hierarchy(parser, args) -> int:
     return 0
 
 
-def _cmd_transform(parser, args) -> int:
-    p = _params_from_args(parser, args)
-    _tol_from_args(parser, args)
+def _cmd_transform(parser, args, p: PuParams) -> int:
     kind = args.kind
     kwargs = {"ax": args.ax, "g": args.g}
     if kind.startswith("Ta"):
@@ -235,9 +230,7 @@ def _cmd_transform(parser, args) -> int:
     return 0
 
 
-def _cmd_flow(parser, args) -> int:
-    p = _params_from_args(parser, args)
-    _tol_from_args(parser, args)
+def _cmd_flow(parser, args, p: PuParams) -> int:
     sol = _classical_solution(p, args)
     gens = dict(zip(("X1", "X2", "X3", "X4"), symmetry.standard_basis(p)))
     states = [(t, dynamics.eval_solution(sol, t))
@@ -248,9 +241,7 @@ def _cmd_flow(parser, args) -> int:
     return 0
 
 
-def _cmd_simulate(parser, args) -> int:
-    p = _params_from_args(parser, args)
-    _tol_from_args(parser, args)
+def _cmd_simulate(parser, args, p: PuParams) -> int:
     sol = _classical_solution(p, args)
     v0 = dynamics.eval_solution(sol, 0.0)
     pot = None
@@ -268,7 +259,7 @@ def _cmd_simulate(parser, args) -> int:
     except DivergenceError as exc:
         # write the finite rows before it, then fail as any domain error does
         diverged = exc
-        traj = dynamics.Trajectory(h=args.h, times=np.arange(len(exc.states)) * args.h,
+        traj = dynamics.Trajectory(times=np.arange(len(exc.states)) * args.h,
                                    states=exc.states)
     charges = list(hierarchy.charge_ladder(p, 4).charges)
     header = ["t", "q", "qd", "qdd", "qddd", "H1", "H2", "H3", "H4"]
@@ -286,9 +277,7 @@ def _cmd_simulate(parser, args) -> int:
     return 0
 
 
-def _cmd_discover(parser, args) -> int:
-    p = _params_from_args(parser, args)
-    _tol_from_args(parser, args)
+def _cmd_discover(parser, args, p: PuParams) -> int:
     result = dynamics.structure_discovery(p)
     payload = {
         "seed": args.seed,
@@ -315,8 +304,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    sub = args.subparser
+    p = _params_from_args(sub, args)
+    args.tol = _tol_from_args(sub, args)
     try:
-        return _COMMANDS[args.command](args.subparser, args)
+        return _COMMANDS[args.command](sub, args, p)
     except PuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

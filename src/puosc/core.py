@@ -66,14 +66,24 @@ class PuParams:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidInputError(f"parameter {name} must be finite, got {value!r}")
+        w = (self.omega1, self.omega2)
+        if w != (None, None):
+            if None in w or min(w) < 0.0:
+                raise InvalidInputError(f"frequencies must be a non-negative pair, got {w!r}")
+            s1, s2 = w[0] * w[0], w[1] * w[1]
+            for name, want, got in (("alpha", self.alpha, s1 + s2), ("beta", self.beta, s1 * s2)):
+                if abs(got - want) > 1e-12 * got:
+                    raise InvalidInputError(f"frequencies {w!r} disagree with {name} = {want!r}")
 
     @classmethod
     def from_frequencies(cls, omega1: float, omega2: float,
                          deg_tol: float = DEFAULT_DEG_TOL) -> "PuParams":
-        """Build from the two mode frequencies: alpha = w1^2 + w2^2, beta = w1^2 w2^2."""
+        """Build from the two mode frequencies: alpha = w1^2 + w2^2, beta = w1^2 w2^2,
+        squared as floats, as ``__post_init__`` squares them to check the result."""
+        omega1, omega2 = float(omega1), float(omega2)
         w1sq, w2sq = omega1 * omega1, omega2 * omega2
         return cls(alpha=w1sq + w2sq, beta=w1sq * w2sq,
-                   omega1=float(omega1), omega2=float(omega2), deg_tol=deg_tol)
+                   omega1=omega1, omega2=omega2, deg_tol=deg_tol)
 
     def frequencies(self) -> tuple[float, float]:
         """The (omega1, omega2) pair, derived from (alpha, beta) if needed."""
@@ -149,10 +159,22 @@ def _tovec(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-class QuadHamiltonian:
-    """Quadratic form H(v) = 1/2 v^T S v with symmetric matrix S."""
+class _FrozenMatrix:
+    """An immutable read-only ``matrix``; subclasses keep ``__slots__ = ()``."""
 
     __slots__ = ("matrix",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.matrix.tolist()})"
+
+
+class QuadHamiltonian(_FrozenMatrix):
+    """Quadratic form H(v) = 1/2 v^T S v with symmetric matrix S."""
+
+    __slots__ = ()
 
     def __init__(self, s, *, _trusted: bool = False):
         if _trusted:
@@ -167,9 +189,6 @@ class QuadHamiltonian:
     def _exact(cls, a: np.ndarray) -> "QuadHamiltonian":
         """The form of a float array that is symmetric by construction."""
         return cls(a, _trusted=True)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadHamiltonian is immutable")
 
     def __reduce__(self):
         # symmetrizing the stored matrix again reproduces its bits
@@ -196,14 +215,11 @@ class QuadHamiltonian:
     def __neg__(self) -> "QuadHamiltonian":
         return QuadHamiltonian._exact(-self.matrix)
 
-    def __repr__(self):
-        return f"QuadHamiltonian({self.matrix.tolist()})"
 
-
-class PoissonTensor:
+class PoissonTensor(_FrozenMatrix):
     """Constant antisymmetric tensor J defining {F, G} = grad F . J . grad G."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
     def __init__(self, j, *, _trusted: bool = False):
         if _trusted:
@@ -219,15 +235,9 @@ class PoissonTensor:
         """The tensor of a float array that is antisymmetric by construction."""
         return cls(a, _trusted=True)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonTensor is immutable")
-
     def __reduce__(self):
         # symmetrizing the stored matrix again reproduces its bits
         return type(self)._exact, (self.matrix,)
-
-    def __repr__(self):
-        return f"PoissonTensor({self.matrix.tolist()})"
 
 
 @_memoized

@@ -27,6 +27,7 @@ from .errors import (ComplexBranchError, ConstructionError, DivergenceError,
 from .linalg import inverse, nullspace
 from .modes import phase_state
 from .symmetry import solution_terms
+from .transform import _inverse_determinant, build
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,12 @@ class LinearField:
         return x1, x2, x3, self._m30 * x0 + self._m32 * x2
 
 
-class PotentialField:
+class PotentialField(LinearField):
     """dv/dt = M v + (0, 0, 0, V'(q)) or the on_qdd analogue with W'(qdd)."""
 
     def __init__(self, p: PuParams, pot: Potential):
-        self.p = p
+        super().__init__(p)
         self.pot = pot
-        m = companion_field(p)
-        self._m30, self._m32 = float(m[3, 0]), float(m[3, 2])
         self._on_q = pot.kind == "on_q"
 
     def rhs(self, x0: float, x1: float, x2: float, x3: float) -> tuple[float, float, float, float]:
@@ -143,7 +142,6 @@ class PotentialField:
 
 @dataclass(frozen=True)
 class Trajectory:
-    h: float
     times: np.ndarray
     states: np.ndarray  # shape (n, 4)
 
@@ -208,7 +206,7 @@ def integrate(field, v0: PhaseState, h: float, t_end: float) -> Trajectory:
     n_steps = int(round(t_end / h))
     states = _rk4(field.rhs, v0.as_array(), h, n_steps)
     times = np.arange(n_steps + 1) * h
-    return Trajectory(h=h, times=times, states=states)
+    return Trajectory(times=times, states=states)
 
 
 def charge_values(traj: Trajectory, charge: QuadHamiltonian,
@@ -303,16 +301,6 @@ def interaction_transform_constraint(p: PuParams, g: float) -> tuple[float, floa
     return r, -r
 
 
-def constraint_residual(spec, p: PuParams) -> float:
-    """Residual of nu2/D = 1 and -mu2/D = 1 with D = mu2 nu0 - mu0 nu2."""
-    mu0, _, mu2 = spec.mu
-    nu0, _, nu2 = spec.nu
-    det = mu2 * nu0 - mu0 * nu2
-    if det == 0.0:
-        raise ConstructionError("constraints singular: mu2 nu0 = mu0 nu2")
-    return max(abs(nu2 / det - 1.0), abs(-mu2 / det - 1.0))
-
-
 def two_route_max_error(p: PuParams, g: float, pot: Potential, v0: PhaseState,
                         h: float = 1e-3, t_end: float = 10.0) -> float:
     """Compare the interacting flow against its two-dimensional image.
@@ -323,15 +311,13 @@ def two_route_max_error(p: PuParams, g: float, pot: Potential, v0: PhaseState,
     second-order system with the induced potential V(-x-y), and pulls the
     trajectory back.  Returns the max componentwise deviation.
     """
-    from .transform import build
-
     if pot.kind != "on_q":
         raise InvalidInputError("the two-route comparison needs an on_q potential")
     ax, ay = interaction_transform_constraint(p, g)
     spec = build("Ta2+", p, ax=ax, ay=ay, g=g)
     mu0, _, mu2 = spec.mu
     nu0, _, nu2 = spec.nu
-    det = mu2 * nu0 - mu0 * nu2
+    det = _inverse_determinant(spec)
 
     direct = integrate(PotentialField(p, pot), v0, h, t_end)
 

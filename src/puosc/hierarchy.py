@@ -147,6 +147,14 @@ def x4_pair(p: PuParams) -> tuple[QuadHamiltonian, QuadHamiltonian]:
     return p.alpha * h1 + h2, -p.beta * h1
 
 
+def _singular_pair(p: PuParams, a: float, b: float, d: float) -> bool:
+    """True when d, the caller's value of b^2 - alpha a b + beta a^2, is zero to
+    1e-10 of its terms: the guard of (c1, c2) = (a, b) in ``combine`` and of
+    (c3, c4) = (b, a) in ``transform.tensor_coefficients``.  It reads no
+    frequencies, so ``combine`` still works where alpha^2 < 4 beta."""
+    return abs(d) <= 1e-10 * (b * b + abs(p.alpha * a * b) + abs(p.beta) * a * a)
+
+
 def combine(p: PuParams, c1: float, c2: float) -> CombinedStructure:
     """Flow-preserving combination Jbar = c1 J1 + c2 J2, Hbar = c3 H1 + c4 H2.
 
@@ -156,8 +164,7 @@ def combine(p: PuParams, c1: float, c2: float) -> CombinedStructure:
     residual at random parameters).
     """
     denom = c2 * c2 - p.alpha * c1 * c2 + p.beta * c1 * c1
-    scale = 1.0 + c1 * c1 + c2 * c2
-    if abs(denom) <= 1e-10 * scale:
+    if _singular_pair(p, c1, c2, denom):
         raise DegenerateCombinationError(
             f"c2 = c1*omega_i^2 within tolerance (denominator {denom:.3e})")
     c3 = c1 * p.beta / denom

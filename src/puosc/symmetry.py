@@ -12,30 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseState, PuParams, QuadHamiltonian, _memoized, companion_field
+from .core import (PhaseState, PuParams, QuadHamiltonian, _FrozenMatrix, _memoized,
+                   companion_field)
 from .errors import InvalidRegimeError
 from .linalg import as_matrix, expm, nullspace
 from .modes import TrigTerm, phase_state
 
 
-class Generator:
+class Generator(_FrozenMatrix):
     """Linear vector field X = (A v) . d/dv."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
     def __init__(self, a):
         m = as_matrix(a, square=True)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Generator is immutable")
-
     def __reduce__(self):
         return Generator, (self.matrix,)
-
-    def __repr__(self):
-        return f"Generator({self.matrix.tolist()})"
 
 
 @dataclass(frozen=True)

@@ -16,20 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
-                   combined_tensor, hamiltonian_h1, hamiltonian_h2)
+                   canonical_tensor, combined_tensor, hamiltonian_h1, hamiltonian_h2)
 from .errors import (ComplexBranchError, ConstructionError,
                      DegenerateLegendreError, InvalidInputError,
                      NonInvertibleTransformError, SingularStructureError)
-from .hierarchy import _pd_squared_frequencies, _square_piece, coefficients_on_h1h2
+from .hierarchy import (_pd_squared_frequencies, _singular_pair, _square_piece,
+                        coefficients_on_h1h2)
 
 KINDS = ("Ta1+", "Ta1-", "Ta2+", "Ta2-", "Tb1", "Tb2+", "Tb2-")
 
-CANONICAL_XY = np.array([
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [-1.0, 0.0, 0.0, 0.0],
-    [0.0, -1.0, 0.0, 0.0],
-])
+# the canonical bracket {x_i, p_j} = delta_ij, read on (x, y, px, py)
+CANONICAL_XY = canonical_tensor().matrix
 
 
 @dataclass(frozen=True)
@@ -284,12 +281,11 @@ def tensor_coefficients(p: PuParams, c3: float, c4: float) -> tuple[float, float
     w1, w2 = p.frequencies()
     d1 = c3 - c4 * w1 * w1
     d2 = c3 - c4 * w2 * w2
-    scale1 = 1e-2 + abs(c3) + abs(c4) * w1 * w1
-    scale2 = 1e-2 + abs(c3) + abs(c4) * w2 * w2
-    if abs(d1) <= 1e-10 * scale1 or abs(d2) <= 1e-10 * scale2:
+    denom = d1 * d2
+    if _singular_pair(p, c4, c3, denom):
         raise SingularStructureError(
             f"coefficients singular: c3 - c4*w^2 = ({d1:.3e}, {d2:.3e})")
-    return c3 / (d1 * d2), c4 * p.beta / (d1 * d2)
+    return c3 / denom, c4 * p.beta / denom
 
 
 def pushforward_brackets(spec: TransformSpec, jbar: PoissonTensor) -> np.ndarray:
@@ -411,22 +407,6 @@ def pd_window_transformed(kind: str, p: PuParams, *, g: float | None = None,
         lo, hi = sorted((w1sq, w2sq))
         return lo < bx < hi
     raise InvalidInputError(f"no window for kind {kind!r}")
-
-
-def lambda_coefficients(spec: TransformSpec, p: PuParams) -> dict[str, float]:
-    """lambda_mu^i = (mu0 - mu2 w_i^2)/(mu2 nu0 - mu0 nu2) and the nu analogue."""
-    mu0, _, mu2 = spec.mu
-    nu0, _, nu2 = spec.nu
-    det = _inverse_determinant(spec)
-    if det == 0.0:
-        raise NonInvertibleTransformError("lambda coefficients need an invertible map")
-    w1, w2 = p.frequencies()
-    return {
-        "lambda_mu_1": (mu0 - mu2 * w1 * w1) / det,
-        "lambda_mu_2": (mu0 - mu2 * w2 * w2) / det,
-        "lambda_nu_1": (nu0 - nu2 * w1 * w1) / det,
-        "lambda_nu_2": (nu0 - nu2 * w2 * w2) / det,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -241,8 +241,7 @@ def _check_pd_window(p, rng, tol):
         except PuError:
             continue
         window = hierarchy.pd_window(pp, c1, c2)
-        minors_pos = all(d > 0.0 for d in linalg.leading_minors(cs.hbar.matrix))
-        if window != minors_pos:
+        if window != linalg.is_positive_definite(cs.hbar.matrix):
             mismatches += 1
         n += 1
     # axis draws never pass
@@ -515,9 +514,8 @@ def _check_positivity_windows(p, rng, tol):
     ok = True
     for g, expect in ((1.0, True), (2.0, False)):
         form = transform.transformed_form("Ta2", pp, g=g)
-        minors_pos = all(d > 0.0 for d in linalg.leading_minors(form.matrix))
         window = transform.pd_window_transformed("Ta2", pp, g=g)
-        ok = ok and (window == expect == minors_pos)
+        ok = ok and (window == expect == linalg.is_positive_definite(form.matrix))
     mismatches = 0
     for _ in range(50):
         ppr = random_freq_params(rng)
@@ -526,8 +524,8 @@ def _check_positivity_windows(p, rng, tol):
         if min(abs(bx - w1 * w1), abs(bx - w2 * w2)) < 1e-4:
             continue
         form = transform.transformed_form("Tb1", ppr, bx=bx)
-        minors_pos = all(d > 0.0 for d in linalg.leading_minors(form.matrix))
-        if transform.pd_window_transformed("Tb1", ppr, bx=bx) != minors_pos:
+        if (transform.pd_window_transformed("Tb1", ppr, bx=bx)
+                != linalg.is_positive_definite(form.matrix)):
             mismatches += 1
     return ok and mismatches == 0, float(mismatches), 52
 

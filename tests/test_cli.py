@@ -43,6 +43,12 @@ class TestUsageErrors:
         assert r.returncode == 2
         assert "unrecognized arguments: --format csv" in r.stderr
 
+    @pytest.mark.parametrize("command", ["flow", "simulate"])
+    def test_seed_only_where_read_or_echoed(self, command):
+        r = run_cli(command, "--omega1", "2", "--omega2", "1", "--seed", "3")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --seed 3" in r.stderr
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--omega1", "2", "--omega2", "1", "--h", "nan"],
         ["simulate", "--omega1", "2", "--omega2", "1", "--t-end", "inf"],
@@ -63,7 +69,8 @@ class TestUsageErrors:
         ["hierarchy", "--alpha", "5", "--beta", "4", "--tol", "-1"],
         ["hierarchy", "--alpha", "5", "--omega1", "2", "--omega2", "1"],
         ["hierarchy", "--omega1", "1e200", "--omega2", "1"],
-    ], ids=["tolerance", "both-styles", "overflowing-frequency"])
+        ["hierarchy", "--omega1=-2", "--omega2", "1"],
+    ], ids=["tolerance", "both-styles", "overflowing-frequency", "negative-frequency"])
     def test_post_parse_error_names_subcommand(self, argv):
         r = run_cli(*argv)
         assert r.returncode == 2

@@ -49,6 +49,18 @@ class TestParams:
         with pytest.raises(InvalidInputError, match="omega1"):
             PuParams.from_frequencies(float("inf"), 1.0)
 
+    @pytest.mark.parametrize("fields", [(5.0, 4.0, -2.0, 1.0), (5.0, 4.0, 3.0, 3.0),
+                                        (5.0, 4.0 + 4e-11, 2.0, 1.0), (5.0, 4.0, 2.0, None)])
+    def test_bad_frequencies_rejected(self, fields):
+        with pytest.raises(InvalidInputError):
+            PuParams(*fields)
+
+    @pytest.mark.parametrize("omegas", [(2, 1), (np.float32(1.1), 0.3), (1e-200, 1.0),
+                                        (0.0, 0.0), (1e100, 1e-100), (1.3, 1.3)])
+    def test_own_frequencies_accepted(self, omegas):
+        p = PuParams.from_frequencies(*omegas)
+        assert p.frequencies() == tuple(float(w) for w in omegas)
+
 
 class TestCompanion:
     def test_nilpotent_at_zero(self):
@@ -312,8 +324,11 @@ class TestCopyAndPickle:
         assert type(back) is type(original)
         assert back.matrix.tobytes() == original.matrix.tobytes()
         assert not back.matrix.flags.writeable
-        with pytest.raises(AttributeError, match="immutable"):
+        name = type(original).__name__
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             back.matrix = None
+        assert repr(back) == f"{name}({back.matrix.tolist()})"
+        assert not hasattr(back, "__dict__")
 
 
 class TestOstrogradsky:

@@ -19,8 +19,7 @@ from puosc.errors import (ComplexBranchError, ConstructionError,
                           ParameterDomainError)
 from puosc.hierarchy import charge_ladder, coefficients_on_h1h2
 from puosc.linalg import inverse
-from puosc.transform import build
-from puosc.dynamics import constraint_residual
+from puosc.transform import XYState, build, inverse as inverse_map
 from puosc.verify import random_freq_params, random_params
 
 
@@ -291,12 +290,10 @@ class TestInteractionTransform:
             except (ComplexBranchError, ConstructionError):
                 continue
             spec = build("Ta2+", p, ax=ax, ay=ay, g=g)
-            assert constraint_residual(spec, p) <= 1e-10
-
-    def test_ta1_branch_singular(self, p54):
-        spec = build("Ta1+", p54, ax=1.0, ay=1.0, g=0.0)
-        with pytest.raises(ConstructionError):
-            constraint_residual(spec, p54)
+            # nu2/D = -mu2/D = 1 (D = mu2 nu0 - mu0 nu2), so the map inverts to q = -(x + y)
+            x, y = rng.uniform(-2.0, 2.0, 2)
+            q = inverse_map(spec, XYState(x, y, 0.0, 0.0)).q
+            assert q == pytest.approx(-(x + y), rel=1e-10, abs=1e-10)
 
     def test_two_route_trajectories_agree(self, p54):
         err = two_route_max_error(p54, 0.5, quartic_potential(0.25),

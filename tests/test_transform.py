@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,15 +7,15 @@ import pytest
 from puosc.core import (PhaseState, PoissonTensor, PuParams, flow_residual,
                         hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2)
 from puosc.errors import (ComplexBranchError, ConstructionError,
-                          DecompositionUndefinedError, DegenerateLegendreError,
-                          InvalidInputError, NonInvertibleTransformError,
-                          SingularStructureError)
+                          DecompositionUndefinedError, DegenerateCombinationError,
+                          DegenerateLegendreError, InvalidInputError,
+                          NonInvertibleTransformError, SingularStructureError)
+from puosc.hierarchy import combine
 from puosc.linalg import is_positive_definite, leading_minors
 from puosc.transform import (KINDS, XYState, build, canonical_bracket_residual,
                              catalog_pullback_coefficients, defining_residual,
-                             flow_preserving_tensor, forward, ghost_variant,
-                             inverse, lambda_coefficients, legendre,
-                             pd_decompose_transformed, pd_window_transformed,
+                             flow_preserving_tensor, forward, ghost_variant, inverse,
+                             legendre, pd_decompose_transformed, pd_window_transformed,
                              pullback_hamiltonian, pushforward_brackets,
                              sm_embedding, tau_of, tensor_coefficients,
                              transformed_form)
@@ -217,6 +218,17 @@ class TestFlowPreservingTensor:
         want = c1 * poisson_j1(p).matrix + c2 * poisson_j2(p).matrix
         assert np.max(np.abs(jt.matrix - want)) == 0.0
 
+    @pytest.mark.parametrize("a,b,singular", [
+        (1.0, 4.0, True), (1.0, 1.0, True), (0.0, 0.0, True), (1.0, 4.0 + 4e-12, True),
+        (1e-8, 1e-8 + 1e-21, True), (1.0, 4.0 + 4e-6, False), (1e-8, 2e-8, False),
+        (1e-150, 3e-150, False), (0.0, 1.0, False), (1.0, 0.0, False)])
+    def test_refuses_where_combine_refuses(self, a, b, singular, p54):
+        # one guard: combine(c1, c2) = (a, b) and its inverse at (c3, c4) = (b, a)
+        with pytest.raises(DegenerateCombinationError) if singular else contextlib.nullcontext():
+            combine(p54, a, b)
+        with pytest.raises(SingularStructureError) if singular else contextlib.nullcontext():
+            tensor_coefficients(p54, b, a)
+
 
 class TestPushforward:
     @pytest.mark.parametrize("kind", ["Ta2+", "Ta2-", "Tb1"])
@@ -339,15 +351,15 @@ class TestPositivityWindows:
             assert np.max(np.abs(want - piece.matrix)) <= 1e-12
 
     def test_tb1_lambda_reading(self, p54):
-        # resolved reading: momenta px*lambda_nu + py*tau*lambda_mu,
-        # positions x*lambda_nu - y*lambda_mu
+        # resolved reading: momenta px*lambda_nu + py*tau*lambda_mu, positions
+        # x*lambda_nu - y*lambda_mu, lambda_mu^j = (mu0 - mu2 w_j^2)/(mu2 nu0 - mu0 nu2)
         bx, g = 2.5, 1.0
         dec = pd_decompose_transformed("Tb1", p54, bx=bx, g=g)
-        lam = lambda_coefficients(dec.spec, p54)
+        (mu0, _, mu2), (nu0, _, nu2) = dec.spec.mu, dec.spec.nu
+        det = mu2 * nu0 - mu0 * nu2
         tau_x = (bx - 4.0) * (bx - 1.0) / g ** 2
-        cases = ((4.0, 1.0, lam["lambda_mu_2"], lam["lambda_nu_2"], dec.h12_xy),
-                 (1.0, 4.0, lam["lambda_mu_1"], lam["lambda_nu_1"], dec.h21_xy))
-        for wi, wj, lmu, lnu, piece in cases:
+        for wi, wj, piece in ((4.0, 1.0, dec.h12_xy), (1.0, 4.0, dec.h21_xy)):
+            lmu, lnu = (mu0 - mu2 * wj) / det, (nu0 - nu2 * wj) / det
             pref = (bx - wj) / (2.0 * (wi - wj))
             pvec = np.array([0.0, 0.0, lnu, tau_x * lmu])
             xvec = np.array([lnu, -lmu, 0.0, 0.0])
