@@ -371,6 +371,22 @@ class TestPositivityWindows:
         with pytest.raises(DecompositionUndefinedError):
             pd_window_transformed("Ta2", p, g=0.5)
 
+    @pytest.mark.parametrize("fn, kind, kwargs, message", [
+        (transformed_form, "Ta2", {"bx": 1.0}, "Ta2 form needs g"),
+        (transformed_form, "Tb1", {"g": 1.0}, "Tb1 form needs bx"),
+        (transformed_form, "Tb2+", {"g": 1.0}, "no unit-kinetic form for kind 'Tb2+'"),
+        (pd_decompose_transformed, "Ta2", {"bx": 1.0}, "Ta2 decomposition needs g"),
+        (pd_decompose_transformed, "Tb1", {"g": 1.0}, "Tb1 decomposition needs bx"),
+        (pd_decompose_transformed, "Ta1", {"g": 1.0}, "no decomposition for kind 'Ta1'"),
+        (pd_window_transformed, "Ta2", {"bx": 1.0}, "Ta2 window needs g"),
+        (pd_window_transformed, "Tb1", {"g": 1.0}, "Tb1 window needs bx"),
+        (pd_window_transformed, "Ta2+", {"g": 1.0}, "no window for kind 'Ta2+'"),
+    ])
+    def test_unit_kinetic_kind_errors(self, p54, fn, kind, kwargs, message):
+        with pytest.raises(InvalidInputError) as excinfo:
+            fn(kind, p54, **kwargs)
+        assert str(excinfo.value) == message
+
 
 class TestSmEmbedding:
     def test_branch_point_lambda(self, p54):

@@ -13,16 +13,20 @@ script) and writes 66 files into OUTDIR:
 - ``hierarchy.csv``, ``hierarchy.json``, three ``transform-*.json`` reports,
   ``discover.json`` and three ``flow-*.csv`` curves.
 
-It prints one ``name exit-code`` line per command.  To check that a change
-keeps every output, run it in both trees and compare:
+It prints a ``# python X numpy Y`` header, then one ``sha256 name exit-code``
+line per command.  ``tools/snapshot.sha256`` is that output, committed; to
+check that the outputs match it, run
 
-    python3 tools/snapshot.py /tmp/a            # in the parent's checkout
-    python3 tools/snapshot.py /tmp/b            # in the changed checkout
-    for f in /tmp/a/*; do cmp "$f" "/tmp/b/${f##*/}"; done
+    python3 tools/snapshot.py /tmp/s | diff tools/snapshot.sha256 -
+
+(about 26 s).  A change that moves outputs on purpose commits the new
+manifest, so its diff names exactly the files that moved.
 """
 import contextlib
+import hashlib
 import io
 import os
+import platform
 import sys
 
 import numpy as np
@@ -67,10 +71,14 @@ def main(argv=None) -> int:
         return 2
     out_dir = argv[0]
     os.makedirs(out_dir, exist_ok=True)
+    print(f"# python {platform.python_version()} numpy {np.__version__}")
     for name, args in commands():
+        path = os.path.join(out_dir, name)
         with contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([*args, "--out", os.path.join(out_dir, name)])
-        print(name, code)
+            code = cli.main([*args, "--out", path])
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        print(digest, name, code)
     return 0
 
 
