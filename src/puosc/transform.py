@@ -185,29 +185,29 @@ def forward(spec: TransformSpec, v: PhaseState) -> XYState:
     return XYState(*(float(c) for c in w))
 
 
-def _inverse_determinant(spec: TransformSpec) -> float:
+def inverse_jacobian(spec: TransformSpec) -> np.ndarray:
+    """Closed-form W^-1: defined only when mu2 nu0 - mu0 nu2 != 0 and ay != 0."""
     mu0, _, mu2 = spec.mu
     nu0, _, nu2 = spec.nu
-    return mu2 * nu0 - mu0 * nu2
-
-
-def inverse(spec: TransformSpec, w: XYState) -> PhaseState:
-    """Invert the map: defined only when mu2 nu0 - mu0 nu2 != 0 and ay != 0."""
-    mu0, _, mu2 = spec.mu
-    nu0, _, nu2 = spec.nu
-    det = _inverse_determinant(spec)
+    det = mu2 * nu0 - mu0 * nu2
     scale = 1.0 + max(abs(c) for c in (*spec.mu, *spec.nu))
     if abs(det) <= 1e-12 * scale:
         raise NonInvertibleTransformError(
             f"{spec.kind}: mu2 nu0 - mu0 nu2 = {det:.3e}, map not invertible")
     if spec.ay == 0.0:
         raise NonInvertibleTransformError(f"{spec.kind}: ay = 0, momenta not invertible")
-    axay = spec.ax * spec.ay
-    q = (mu2 * w.y - nu2 * w.x) / det
-    qd = (spec.ax * mu2 * w.py - spec.ay * nu2 * w.px) / (axay * det)
-    qdd = (nu0 * w.x - mu0 * w.y) / det
-    qddd = (spec.ay * nu0 * w.px - spec.ax * mu0 * w.py) / (axay * det)
-    return PhaseState(q, qd, qdd, qddd)
+    dx, dy = spec.ax * det, spec.ay * det
+    return np.array([
+        [-nu2 / det, mu2 / det, 0.0, 0.0],
+        [0.0, 0.0, -nu2 / dx, mu2 / dy],
+        [nu0 / det, -mu0 / det, 0.0, 0.0],
+        [0.0, 0.0, nu0 / dx, -mu0 / dy],
+    ])
+
+
+def inverse(spec: TransformSpec, w: XYState) -> PhaseState:
+    """Invert the map (see inverse_jacobian for when it is defined)."""
+    return PhaseState.from_array(inverse_jacobian(spec) @ w.as_array())
 
 
 def legendre(spec: TransformSpec) -> QuadHamiltonian:
@@ -232,14 +232,12 @@ def pullback_form(spec: TransformSpec, p: PuParams) -> QuadHamiltonian:
     is eliminated through its own equation of motion y = -g x / by before the
     Legendre transform.
     """
+    w = jacobian(spec)
     if spec.kind.startswith("Tb2"):
-        mu0, _, mu2 = spec.mu
         bx_eff = spec.bx - spec.g * spec.g / spec.by
-        xrow = np.array([mu0, 0.0, mu2, 0.0])
-        prow = np.array([0.0, spec.ax * mu0, 0.0, spec.ax * mu2])
+        xrow, prow = w[0], w[2]
         s = (np.outer(prow, prow) / spec.ax) + bx_eff * np.outer(xrow, xrow)
         return QuadHamiltonian._exact(s)
-    w = jacobian(spec)
     return QuadHamiltonian(w.T @ legendre(spec).matrix @ w)
 
 
@@ -334,8 +332,19 @@ class TransformedPdDecomposition:
 def _xy_pieces(spec: TransformSpec, pieces_q: tuple[QuadHamiltonian, QuadHamiltonian]
                ) -> tuple[QuadHamiltonian, QuadHamiltonian]:
     """Transport q-variable pieces to (x, y, px, py) through the inverse map."""
-    winv = np.linalg.inv(jacobian(spec))
+    winv = inverse_jacobian(spec)
     return tuple(QuadHamiltonian(winv.T @ piece.matrix @ winv) for piece in pieces_q)
+
+
+def _unit_kinetic_value(kind: str, g: float | None, bx: float | None,
+                        what: str, unknown: str) -> float:
+    """The free value of a unit-kinetic kind: g for Ta2, bx for Tb1."""
+    if kind not in ("Ta2", "Tb1"):
+        raise InvalidInputError(f"no {unknown} for kind {kind!r}")
+    name, value = ("g", g) if kind == "Ta2" else ("bx", bx)
+    if value is None:
+        raise InvalidInputError(f"{kind} {what} needs {name}")
+    return value
 
 
 def transformed_form(kind: str, p: PuParams, *, g: float | None = None,
@@ -346,15 +355,10 @@ def transformed_form(kind: str, p: PuParams, *, g: float | None = None,
     (bx - alpha) H1 - H2.  Defined for every parameter value (the underlying
     map may leave the real branch, the quadratic form does not).
     """
+    value = _unit_kinetic_value(kind, g, bx, "form", "unit-kinetic form")
     if kind == "Ta2":
-        if g is None:
-            raise InvalidInputError("Ta2 form needs g")
-        return (2.0 * g - p.alpha) * hamiltonian_h1(p) - 2.0 * hamiltonian_h2(p)
-    if kind == "Tb1":
-        if bx is None:
-            raise InvalidInputError("Tb1 form needs bx")
-        return (bx - p.alpha) * hamiltonian_h1(p) - hamiltonian_h2(p)
-    raise InvalidInputError(f"no unit-kinetic form for kind {kind!r}")
+        return (2.0 * value - p.alpha) * hamiltonian_h1(p) - 2.0 * hamiltonian_h2(p)
+    return (value - p.alpha) * hamiltonian_h1(p) - hamiltonian_h2(p)
 
 
 def pd_decompose_transformed(kind: str, p: PuParams, *, g: float | None = None,
@@ -367,21 +371,15 @@ def pd_decompose_transformed(kind: str, p: PuParams, *, g: float | None = None,
     reading, fixed by reassembly against the pullback Hamiltonian).
     """
     w1sq, w2sq = _pd_squared_frequencies(p)
+    value = _unit_kinetic_value(kind, g, bx, "decomposition", "decomposition")
     if kind == "Ta2":
-        if g is None:
-            raise InvalidInputError("Ta2 decomposition needs g")
-        spec = build("Ta2+", p, ax=1.0, ay=1.0, g=g)
-        pref12 = (2.0 * g + w1sq - w2sq) / (2.0 * (w1sq - w2sq))
-        pref21 = (2.0 * g + w2sq - w1sq) / (2.0 * (w2sq - w1sq))
-    elif kind == "Tb1":
-        if bx is None:
-            raise InvalidInputError("Tb1 decomposition needs bx")
-        g_val = 1.0 if g is None else g
-        spec = build("Tb1", p, ax=1.0, bx=bx, g=g_val)
-        pref12 = (bx - w2sq) / (2.0 * (w1sq - w2sq))
-        pref21 = (bx - w1sq) / (2.0 * (w2sq - w1sq))
+        spec = build("Ta2+", p, ax=1.0, ay=1.0, g=value)
+        pref12 = (2.0 * value + w1sq - w2sq) / (2.0 * (w1sq - w2sq))
+        pref21 = (2.0 * value + w2sq - w1sq) / (2.0 * (w2sq - w1sq))
     else:
-        raise InvalidInputError(f"no decomposition for kind {kind!r}")
+        spec = build("Tb1", p, ax=1.0, bx=value, g=1.0 if g is None else g)
+        pref12 = (value - w2sq) / (2.0 * (w1sq - w2sq))
+        pref21 = (value - w1sq) / (2.0 * (w2sq - w1sq))
     h12_q = _square_piece(2.0 * pref12, w1sq, w2sq)
     h21_q = _square_piece(2.0 * pref21, w2sq, w1sq)
     h12_xy, h21_xy = _xy_pieces(spec, (h12_q, h21_q))
@@ -396,17 +394,12 @@ def pd_window_transformed(kind: str, p: PuParams, *, g: float | None = None,
     Tb1 (ax = 1): bx strictly between w1^2 and w2^2.
     """
     w1sq, w2sq = _pd_squared_frequencies(p)
+    value = _unit_kinetic_value(kind, g, bx, "window", "window")
     if kind == "Ta2":
-        if g is None:
-            raise InvalidInputError("Ta2 window needs g")
         lo, hi = sorted((w2sq - w1sq, w1sq - w2sq))
-        return lo < 2.0 * g < hi
-    if kind == "Tb1":
-        if bx is None:
-            raise InvalidInputError("Tb1 window needs bx")
-        lo, hi = sorted((w1sq, w2sq))
-        return lo < bx < hi
-    raise InvalidInputError(f"no window for kind {kind!r}")
+        return lo < 2.0 * value < hi
+    lo, hi = sorted((w1sq, w2sq))
+    return lo < value < hi
 
 
 # ---------------------------------------------------------------------------

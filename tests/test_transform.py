@@ -15,7 +15,8 @@ from puosc.linalg import is_positive_definite, leading_minors
 from puosc.transform import (KINDS, XYState, build, canonical_bracket_residual,
                              catalog_pullback_coefficients, defining_residual,
                              flow_preserving_tensor, forward, ghost_variant, inverse,
-                             legendre, pd_decompose_transformed, pd_window_transformed,
+                             inverse_jacobian, jacobian, legendre,
+                             pd_decompose_transformed, pd_window_transformed,
                              pullback_hamiltonian, pushforward_brackets,
                              sm_embedding, tau_of, tensor_coefficients,
                              transformed_form)
@@ -101,14 +102,20 @@ class TestForwardInverse:
         assert w.as_array().tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_ta1_not_invertible(self, p54):
-        spec = build("Ta1+", p54, ax=1.0, ay=1.0, g=0.0)
-        with pytest.raises(NonInvertibleTransformError):
-            inverse(spec, XYState(1.0, 0.0, 0.0, 0.0))
+        for kind in ("Ta1+", "Ta1-"):
+            spec = build(kind, p54, ax=1.0, ay=1.0, g=0.0)
+            with pytest.raises(NonInvertibleTransformError, match="map not invertible"):
+                inverse(spec, XYState(1.0, 0.0, 0.0, 0.0))
+            with pytest.raises(NonInvertibleTransformError, match="map not invertible"):
+                inverse_jacobian(spec)
 
     def test_tb2_momenta_not_invertible(self, p54):
-        spec = build("Tb2+", p54, ax=1.0, by=1.0, g=0.5)
-        with pytest.raises(NonInvertibleTransformError):
-            inverse(spec, XYState(1.0, 0.0, 0.0, 0.0))
+        for kind in ("Tb2+", "Tb2-"):
+            spec = build(kind, p54, ax=1.0, by=1.0, g=0.5)
+            with pytest.raises(NonInvertibleTransformError):
+                inverse(spec, XYState(1.0, 0.0, 0.0, 0.0))
+            with pytest.raises(NonInvertibleTransformError):
+                inverse_jacobian(spec)
 
     def test_round_trips_for_invertible_kinds(self, rng):
         for kind in ("Ta2+", "Ta2-", "Tb1"):
@@ -118,6 +125,8 @@ class TestForwardInverse:
                 v = PhaseState(*rng.uniform(-2, 2, 4))
                 back = inverse(spec, forward(spec, v))
                 assert np.max(np.abs(back.as_array() - v.as_array())) <= 1e-10
+                product = inverse_jacobian(spec) @ jacobian(spec)
+                assert np.max(np.abs(product - np.eye(4))) <= 1e-10
 
 
 class TestLegendre:
