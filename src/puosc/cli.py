@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -118,9 +119,19 @@ def _classical_solution(p: PuParams, args) -> dynamics.ClassicalSolution:
     return dynamics.ClassicalSolution(p, (args.A1, args.A2, args.B1, args.B2), regime)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number with an exponent, such
+    as ``-5e-05``, as a value rather than as an option; the subcommand
+    parsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="puosc",
-                                     description="Pais-Uhlenbeck oscillator toolkit")
+    parser = _Parser(prog="puosc", description="Pais-Uhlenbeck oscillator toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_verify = subs.add_parser("verify", help="run the identity suites")

@@ -299,9 +299,8 @@ def canonical_bracket_residual(spec: TransformSpec, p: PuParams) -> float:
     return float(np.max(np.abs(table - CANONICAL_XY)))
 
 
-def ghost_variant(p: PuParams, g: float = 0.0, sign: int = +1,
-                  a_y_choice: float = -1.0) -> QuadHamiltonian:
-    """Target Hamiltonian of Ta2 at ax = 1, ay = +-1.
+def ghost_variant(p: PuParams, g: float = 0.0, a_y_choice: float = -1.0) -> QuadHamiltonian:
+    """Target Hamiltonian of Ta2+ at ax = 1, ay = +-1.
 
     ay = -1 gives the two-oscillators-of-opposite-sign model (Lorentzian
     kinetic term when g != 0); ay = +1 gives two positive space-coupled
@@ -309,9 +308,7 @@ def ghost_variant(p: PuParams, g: float = 0.0, sign: int = +1,
     """
     if a_y_choice not in (-1.0, 1.0):
         raise InvalidInputError("a_y_choice must be -1 or +1")
-    kind = "Ta2+" if sign > 0 else "Ta2-"
-    spec = build(kind, p, ax=1.0, ay=a_y_choice, g=g)
-    return legendre(spec)
+    return legendre(build("Ta2+", p, ax=1.0, ay=a_y_choice, g=g))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +416,6 @@ class SmEmbedding:
     h_sm: QuadHamiltonian
     scale: float
     lam: float
-    omega_cap: float
-    delta: float
-    nu_w: float
-    nu_z: float
     mu_w: float
     mu_z: float
     tau_sm: float
@@ -480,5 +473,4 @@ def sm_embedding(p: PuParams, mu_w: float, mu_z: float, tau_sm: float,
     s[0, 0] = 2.0 * nu_w * nu_w
     s[1, 1] = 2.0 * c * c + 8.0 * beta * nu_z * nu_z / denom
     s[0, 1] = s[1, 0] = -2.0 * nu_w * c
-    return SmEmbedding(spec, QuadHamiltonian(s), mu_w * t2, lam, omega_cap,
-                       delta, nu_w, nu_z, mu_w, mu_z, tau_sm)
+    return SmEmbedding(spec, QuadHamiltonian(s), mu_w * t2, lam, mu_w, mu_z, tau_sm)

@@ -62,10 +62,10 @@ def _random_sign(rng) -> float:
     return (-1.0, 1.0)[rng.integers(0, 2)]
 
 
-def random_params(rng, beta_floor: float = 0.1) -> PuParams:
-    """alpha in [-3, 3], |beta| in [beta_floor, 3] with a random sign."""
+def random_params(rng) -> PuParams:
+    """alpha in [-3, 3], |beta| in [0.1, 3] with a random sign."""
     alpha = rng.uniform(-3.0, 3.0)
-    beta = rng.uniform(beta_floor, 3.0) * _random_sign(rng)
+    beta = rng.uniform(0.1, 3.0) * _random_sign(rng)
     return PuParams(alpha, beta)
 
 
@@ -491,7 +491,7 @@ def _check_ghost_forms(p, rng, tol):
     pp = _nondegenerate(p)
     w1, w2 = pp.frequencies()
     w1sq, w2sq = w1 * w1, w2 * w2
-    gh = transform.ghost_variant(pp, g=0.0, sign=+1, a_y_choice=-1.0)
+    gh = transform.ghost_variant(pp, g=0.0, a_y_choice=-1.0)
     hi, lo = max(w1sq, w2sq), min(w1sq, w2sq)
     want = np.diag([hi, -lo, 1.0, -1.0])
     worst = float(np.max(np.abs(gh.matrix - want)))
@@ -499,12 +499,12 @@ def _check_ghost_forms(p, rng, tol):
     indefinite = any(d < 0.0 for d in minors)
     # g -> 0 limit of the Lorentzian variant
     for g in (1e-4, 1e-6):
-        ghl = transform.ghost_variant(pp, g=g, sign=+1, a_y_choice=-1.0)
+        ghl = transform.ghost_variant(pp, g=g, a_y_choice=-1.0)
         worst_lim = float(np.max(np.abs(ghl.matrix - gh.matrix)))
         if worst_lim > 10.0 * g:
             return False, worst_lim, 3
     positive = linalg.is_positive_definite(
-        transform.ghost_variant(pp, g=0.1, sign=+1, a_y_choice=1.0).matrix)
+        transform.ghost_variant(pp, g=0.1, a_y_choice=1.0).matrix)
     ok = worst <= 1e-10 and indefinite and positive
     return ok, worst, 3
 

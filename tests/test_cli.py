@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli, run_cli_process
+from puosc.cli import build_parser
 
 
 class TestUsageErrors:
@@ -162,6 +165,21 @@ class TestFlowCommand:
         r = run_cli("flow", "--omega1", "2", "--omega2", "1", "--A1", "1", "--steps", "0")
         assert r.returncode == 0
         assert len(r.stdout.strip().splitlines()) == 2
+
+    def test_negative_exponent_value_parsed_as_value(self):
+        spaced = run_cli("flow", "--omega1", "2", "--omega2", "1", "--A1", "-5e-05")
+        joined = run_cli("flow", "--omega1", "2", "--omega2", "1", "--A1=-5e-05")
+        assert spaced.returncode == joined.returncode == 0
+        assert spaced.stdout == joined.stdout
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_float_repr_parses_to_itself(x):
+    parser = build_parser()
+    base = ["flow", "--omega1", "2", "--omega2", "1"]
+    for argv in ([*base, "--A1", repr(x)], [*base, f"--A1={x!r}"]):
+        assert repr(parser.parse_args(argv).A1) == repr(x)
 
 
 class TestSimulateCommand:

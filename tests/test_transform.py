@@ -267,7 +267,7 @@ class TestPushforward:
 
 class TestGhostVariants:
     def test_opposite_sign_oscillators(self, p54):
-        h = ghost_variant(p54, g=0.0, sign=+1, a_y_choice=-1.0)
+        h = ghost_variant(p54, g=0.0, a_y_choice=-1.0)
         assert np.array_equal(h.matrix, np.diag([4.0, -1.0, 1.0, -1.0]))
         minors = leading_minors(h.matrix)
         assert any(m < 0 for m in minors)
@@ -275,19 +275,19 @@ class TestGhostVariants:
     def test_lorentzian_coefficients(self, p54):
         g = 0.1
         rho = math.sqrt(p54.alpha ** 2 - 4.0 * p54.beta + 4.0 * g * g)
-        h = ghost_variant(p54, g=g, sign=+1, a_y_choice=-1.0)
+        h = ghost_variant(p54, g=g, a_y_choice=-1.0)
         assert h.matrix[0, 0] / 2.0 == pytest.approx((rho + 5.0) / 4.0, rel=1e-12)
         assert h.matrix[1, 1] / 2.0 == pytest.approx((rho - 5.0) / 4.0, rel=1e-12)
         assert h.matrix[0, 1] == g
 
     def test_coupling_to_zero_limit(self, p54):
-        base = ghost_variant(p54, g=0.0, sign=+1, a_y_choice=-1.0)
+        base = ghost_variant(p54, g=0.0, a_y_choice=-1.0)
         for g in (1e-4, 1e-7):
-            close = ghost_variant(p54, g=g, sign=+1, a_y_choice=-1.0)
+            close = ghost_variant(p54, g=g, a_y_choice=-1.0)
             assert np.max(np.abs(close.matrix - base.matrix)) <= 10.0 * g
 
     def test_space_coupled_positive_variant(self, p54):
-        h = ghost_variant(p54, g=0.0, sign=+1, a_y_choice=1.0)
+        h = ghost_variant(p54, g=0.0, a_y_choice=1.0)
         assert h.matrix[2, 2] == 1.0 and h.matrix[3, 3] == 1.0
         assert is_positive_definite(h.matrix)
 
