@@ -19,7 +19,7 @@ check that the outputs match it, run
 
     python3 tools/snapshot.py /tmp/s | diff tools/snapshot.sha256 -
 
-(about 26 s).  A change that moves outputs on purpose commits the new
+(about 30 s).  A change that moves outputs on purpose commits the new
 manifest, so its diff names exactly the files that moved.
 """
 import contextlib
