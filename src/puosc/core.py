@@ -26,15 +26,20 @@ something there.
 The structures that depend on (alpha, beta) alone are built once per
 ``PuParams`` instance: ``companion_field``, ``hamiltonian_h1``/``h2``,
 ``poisson_j1``/``j2``, ``hierarchy.recursion_operator``, the (H1, H2) basis
-of ``hierarchy.coefficients_on_h1h2`` and ``symmetry.standard_basis``.  The
-first call stores its result in the instance's ``__dict__`` and later calls
-return that same object, so every array it hands out is read-only.  The memo
-lives and dies with its instance: there is no global cache to size or clear,
-and equal but distinct parameters (alpha = 0.0 and alpha = -0.0) keep their
-own signed zeros.  It is not part of the value: fields, ``==``, ``hash`` and
-``repr`` ignore it, and a copy or an unpickled instance starts without it.
-Functions that take arguments besides the parameters (solvers, ``combine``,
-``charge_ladder``, the kernels in ``linalg``) are not memoized.
+of ``hierarchy.coefficients_on_h1h2``, ``symmetry.standard_basis``, and in
+``verify`` the reference orbit of its two RK4 checks and the omega = (2, 1)
+stand-in for degenerate parameters.  The first call stores its result in the
+instance's ``__dict__`` and later calls return that same object, so every
+array it hands out is read-only.  The memo lives and dies with its instance:
+there is no global cache to size or clear, and equal but distinct parameters
+(alpha = 0.0 and alpha = -0.0) keep their own signed zeros.  A memoized
+value must not hold its ``PuParams``, not even through a field or a solution
+object: the instance would reach itself through its own memo, and only the
+cyclic garbage collector would free it.  The memo is not part of the value:
+fields, ``==``, ``hash`` and ``repr`` ignore it, and a copy or an unpickled
+instance starts without it.  Functions that take arguments besides the
+parameters (solvers, ``combine``, ``charge_ladder``, the kernels in
+``linalg``) are not memoized.
 """
 from __future__ import annotations
 

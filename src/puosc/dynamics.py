@@ -211,12 +211,33 @@ def integrate(field, v0: PhaseState, h: float, t_end: float) -> Trajectory:
 
 def charge_values(traj: Trajectory, charge: QuadHamiltonian,
                   augment: Potential | None = None) -> np.ndarray:
-    """Charge evaluated along a trajectory, optionally with the potential added."""
-    s = charge.matrix
-    vals = 0.5 * np.einsum("ij,jk,ik->i", traj.states, s, traj.states)
+    """Charge evaluated along a trajectory, optionally with the potential added.
+
+    Each value is 0.5 * sum_j sum_k (x_j * S_jk) * x_k, accumulated from
+    +0.0 over j, then k: the order of ``einsum("ij,jk,ik->i", x, S, x)``,
+    whose bits it reproduces.  Zero entries of S are skipped.  For finite
+    states that is exact: their term is a signed zero, and an accumulator
+    that starts at +0.0 never becomes -0.0, so adding it changes nothing.
+    ``integrate`` returns only finite states.
+    """
+    x, s = traj.states, charge.matrix
+    acc, term = np.zeros(len(x)), np.empty(len(x))
+    # overflow gives inf or nan without a warning: a diverging simulate
+    # writes such rows and reports where it diverged by itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, k in zip(*np.nonzero(s)):
+            np.multiply(x[:, j], s[j, k], out=term)
+            term *= x[:, k]
+            acc += term
+    vals = 0.5 * acc
     if augment is not None:
-        col = 0 if augment.kind == "on_q" else 2
-        vals = vals + np.array([augment.value(x) for x in traj.states[:, col]])
+        col = x[:, 0 if augment.kind == "on_q" else 2]
+        try:
+            extra = np.fromiter(map(augment.value, col.tolist()), float, len(x))
+        except OverflowError:
+            # float ** n raises where numpy's float64 returns inf
+            extra = np.array([augment.value(v) for v in col])
+        vals = vals + extra
     return vals
 
 

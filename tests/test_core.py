@@ -1,12 +1,14 @@
 import copy
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 from conftest import arrays_of, assert_memoized
 
-from puosc import transform
+from puosc import core, dynamics, hierarchy, symmetry, transform, verify
 from puosc.core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
                         canonical_tensor, companion_field, flow_residual,
                         hamiltonian_h1, hamiltonian_h2, ostrogradsky_hamiltonian,
@@ -260,6 +262,12 @@ class TestExactConstruction:
 
 
 _CORE_MEMOIZED = [companion_field, hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2]
+# every function of the package that core._memoized wraps, found by its code
+_WRAPPER_CODE = core._memoized(lambda p: p).__code__
+_ALL_MEMOIZED = {fn.__qualname__: fn
+                 for module in (core, dynamics, hierarchy, symmetry, transform, verify)
+                 for fn in vars(module).values()
+                 if getattr(fn, "__code__", None) is _WRAPPER_CODE}
 _ROUND_TRIPS = pytest.mark.parametrize(
     "roundtrip", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
     ids=["copy", "deepcopy", "pickle"])
@@ -294,6 +302,28 @@ class TestMemo:
         charge_ladder(p, 6)
         standard_basis(p)
         assert (p == q, hash(p), repr(p), dataclasses.astuple(p)) == before
+
+    def test_every_builder_found(self):
+        assert {"companion_field", "hamiltonian_h1", "hamiltonian_h2", "poisson_j1",
+                "poisson_j2", "recursion_operator", "_h1h2_basis", "standard_basis",
+                "_reference_orbit", "_stand_in"} == set(_ALL_MEMOIZED)
+
+    @pytest.mark.parametrize("fill", [
+        lambda p: verify.run_verification(p, 11), *_ALL_MEMOIZED.values()],
+        ids=["run_verification", *_ALL_MEMOIZED])
+    def test_memo_frees_its_params_without_the_cycle_collector(self, fill):
+        # a memoized value that holds its params (say, a ClassicalSolution)
+        # would make a cycle through p.__dict__ that only gc.collect() frees
+        gc.disable()
+        try:
+            p = PuParams.from_frequencies(2.0, 1.0)
+            fill(p)
+            assert vars(p)[core._MEMO]
+            alive = weakref.ref(p)
+            del p
+            assert alive() is None
+        finally:
+            gc.enable()
 
     @_ROUND_TRIPS
     def test_params_copy_after_memoized_calls(self, roundtrip):

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from puosc.core import (PhaseState, PuParams, companion_field, flow_residual,
-                        hamiltonian_h1, poisson_j1, poisson_j2)
+from puosc.core import (PhaseState, PuParams, QuadHamiltonian, companion_field,
+                        flow_residual, hamiltonian_h1, poisson_j1, poisson_j2)
 from puosc.dynamics import (ClassicalSolution, LinearField,
-                            Potential, PotentialField, charge_values,
+                            Potential, PotentialField, Trajectory, charge_values,
                             conservation_report, cosine_potential,
                             cubic_potential, eval_solution,
                             interaction_compatibility,
@@ -20,7 +21,8 @@ from puosc.errors import (ComplexBranchError, ConstructionError,
 from puosc.hierarchy import charge_ladder, coefficients_on_h1h2
 from puosc.linalg import inverse
 from puosc.transform import XYState, build, inverse as inverse_map
-from puosc.verify import random_freq_params, random_params
+from puosc.verify import (_nondegenerate, _reference_orbit, random_freq_params,
+                          random_params)
 
 
 class TestClassicalSolution:
@@ -375,3 +377,77 @@ class TestChargeValues:
         vals = charge_values(traj, h1)
         for i in (0, 50, 100):
             assert vals[i] == pytest.approx(h1.value(traj.states[i]), rel=1e-12)
+
+    @pytest.mark.parametrize("augment", [
+        None, quartic_potential(0.25), quartic_potential(0.25, kind="on_qdd"),
+        cubic_potential(0.3), cosine_potential(0.7)],
+        ids=["bare", "quartic-on_q", "quartic-on_qdd", "cubic", "cosine"])
+    @pytest.mark.parametrize("n", range(6), ids=lambda n: f"H{n + 1}")
+    def test_bits_of_the_ordered_double_sum(self, p54, n, augment):
+        sol = ClassicalSolution(p54, (0.3, -0.5, 0.7, 0.2), "nondegenerate")
+        traj = integrate(LinearField(p54), eval_solution(sol, 0.0), 1e-2, 10.0)
+        charge = charge_ladder(p54, 6).charges[n]
+        want = reference_charge_values(traj.states, charge.matrix, augment)
+        assert charge_values(traj, charge, augment).tobytes() == want.tobytes()
+
+    def test_signed_zero_and_subnormal_states(self, p54):
+        states = np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, -0.0, -0.0],
+                           [5e-324, -5e-324, 0.0, -0.0], [-1e-160, 1e-160, -1e-160, 0.0]])
+        traj = Trajectory(np.arange(4.0), states)
+        for charge in charge_ladder(p54, 6).charges:
+            want = reference_charge_values(states, charge.matrix, None)
+            assert charge_values(traj, charge).tobytes() == want.tobytes()
+
+    def test_overflowing_potential_is_inf_as_on_numpy_scalars(self):
+        # float ** 3 raises OverflowError where a numpy float64 returns inf,
+        # as it did when the values were taken from the numpy column
+        states = np.array([[1e110, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.0, 0.0]])
+        zero = QuadHamiltonian(np.zeros((4, 4)))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            vals = charge_values(Trajectory(np.arange(2.0), states), zero, cubic_potential(0.25))
+        assert vals.tolist() == [math.inf, 0.25 * (-0.5) ** 3 / 3.0]
+
+    def test_overflowing_form_is_silent(self, p54):
+        states = np.array([[1e160, 1e160, 1e160, 1e160]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = charge_values(Trajectory(np.zeros(1), states), hamiltonian_h1(p54))
+        assert not np.isfinite(vals[0])
+
+
+def reference_charge_values(states, s, augment):
+    """0.5 * sum over j, then k, of (x_j * S_jk) * x_k from 0.0, every entry
+    of S included, plus the potential at q (on_q) or qdd (on_qdd)."""
+    s = s.tolist()
+    out = []
+    for x in states.tolist():
+        acc = 0.0
+        for j in range(4):
+            for k in range(4):
+                acc += (x[j] * s[j][k]) * x[k]
+        value = 0.5 * acc
+        if augment is not None:
+            value += augment.value(x[0 if augment.kind == "on_q" else 2])
+        out.append(value)
+    return np.array(out)
+
+
+class TestReferenceOrbit:
+    def test_shared_read_only_and_extends_the_rk4_checks_orbit(self, p54):
+        orbit = _reference_orbit(p54)
+        assert _reference_orbit(p54) is orbit
+        for a in (orbit.times, orbit.states):
+            assert not a.flags.writeable
+        # dynamics.rk4 reads the first 10,001 rows as the orbit to t = 10
+        sol = ClassicalSolution(p54, (0.3, -0.5, 0.7, 0.2), "nondegenerate")
+        short = integrate(LinearField(p54), eval_solution(sol, 0.0), 1e-3, 10.0)
+        assert orbit.times[:10001].tobytes() == short.times.tobytes()
+        assert orbit.states[:10001].tobytes() == short.states.tobytes()
+        assert len(orbit.times) == 50001
+
+    def test_degenerate_params_share_one_stand_in(self):
+        p = PuParams.from_frequencies(1.0, 1.0)
+        stand_in = _nondegenerate(p)
+        assert stand_in == PuParams.from_frequencies(2.0, 1.0)
+        assert _nondegenerate(p) is stand_in
+        assert _nondegenerate(stand_in) is stand_in

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -109,13 +110,21 @@ class TestForwardInverse:
             with pytest.raises(NonInvertibleTransformError, match="map not invertible"):
                 inverse_jacobian(spec)
 
-    def test_tb2_momenta_not_invertible(self, p54):
+    def test_tb2_not_invertible(self, p54):
+        # nu = -g/by * mu: the determinant test fires before the ay = 0 one
         for kind in ("Tb2+", "Tb2-"):
             spec = build(kind, p54, ax=1.0, by=1.0, g=0.5)
-            with pytest.raises(NonInvertibleTransformError):
+            with pytest.raises(NonInvertibleTransformError, match="map not invertible"):
                 inverse(spec, XYState(1.0, 0.0, 0.0, 0.0))
-            with pytest.raises(NonInvertibleTransformError):
+            with pytest.raises(NonInvertibleTransformError, match="map not invertible"):
                 inverse_jacobian(spec)
+
+    def test_zero_ay_momenta_not_invertible(self, p54):
+        # no catalog kind builds an invertible map with ay = 0, but a
+        # TransformSpec is public input
+        spec = dataclasses.replace(build("Ta2+", p54, ax=1.0, ay=1.0, g=0.5), ay=0.0)
+        with pytest.raises(NonInvertibleTransformError, match="ay = 0, momenta not invertible"):
+            inverse_jacobian(spec)
 
     def test_round_trips_for_invertible_kinds(self, rng):
         for kind in ("Ta2+", "Ta2-", "Tb1"):
