@@ -399,8 +399,8 @@ class TestChargeValues:
             assert charge_values(traj, charge).tobytes() == want.tobytes()
 
     def test_overflowing_potential_is_inf_as_on_numpy_scalars(self):
-        # float ** 3 raises OverflowError where a numpy float64 returns inf,
-        # as it did when the values were taken from the numpy column
+        # float ** 3 raises OverflowError on a Python float; charge_values
+        # still returns inf there, as on a numpy float64
         states = np.array([[1e110, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.0, 0.0]])
         zero = QuadHamiltonian(np.zeros((4, 4)))
         with pytest.warns(RuntimeWarning, match="overflow"):
