@@ -13,7 +13,7 @@ import math
 import os
 import re
 import sys
-import tempfile
+import uuid
 
 import numpy as np
 
@@ -25,8 +25,10 @@ DEFAULT_TOL = 1e-9
 
 
 def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".puosc-", suffix=".tmp")
+    """Write through a new file renamed over path, created as ``open(path,
+    "w")`` creates one: mode 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".puosc-{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(data)
@@ -80,7 +82,7 @@ def _add_common(sub: argparse.ArgumentParser, *, seed: bool = True) -> None:
     sub.add_argument("--omega1", type=_finite_float, default=None)
     sub.add_argument("--omega2", type=_finite_float, default=None)
     if seed:
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=_nonnegative_int, default=0)
     sub.add_argument("--tol", type=_finite_float, default=None)
     sub.add_argument("--out", type=str, default=None)
     # post-parse usage errors are reported against the subcommand's parser

@@ -229,15 +229,15 @@ def charge_values(traj: Trajectory, charge: QuadHamiltonian,
             np.multiply(x[:, j], s[j, k], out=term)
             term *= x[:, k]
             acc += term
-    vals = 0.5 * acc
-    if augment is not None:
-        col = x[:, 0 if augment.kind == "on_q" else 2]
-        try:
-            extra = np.fromiter(map(augment.value, col.tolist()), float, len(x))
-        except OverflowError:
-            # float ** n raises where numpy's float64 returns inf
-            extra = np.array([augment.value(v) for v in col])
-        vals = vals + extra
+        vals = 0.5 * acc
+        if augment is not None:
+            col = x[:, 0 if augment.kind == "on_q" else 2]
+            try:
+                extra = np.fromiter(map(augment.value, col.tolist()), float, len(x))
+            except OverflowError:
+                # float ** n raises where numpy's float64 returns inf
+                extra = np.array([augment.value(v) for v in col])
+            vals = vals + extra
     return vals
 
 

@@ -1,13 +1,16 @@
 """Numerical verification suites.
 
 Each check exercises one structural identity at randomized parameters and
-reports (pass, residual, samples).  The report also carries the resolved-typo
+reports (pass, residual, samples).  Most are ``_over_draws`` rows of the
+``CHECKS`` table: n draws of a measure, passing when the worst value is
+within the row's bound.  The report also carries the resolved-typo
 ledger: wherever two printed readings of a formula disagreed, the entry
 records which reading survived the numerical ground truth.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -55,17 +58,20 @@ RESOLVED = {
     "tau-symbol-collision": "tau (transform abbreviation) and tau_sm (embedding timescale) kept distinct",
 }
 
+_SIGNS = (-1.0, 1.0)
+_REGIMES = ("nondegenerate", "degenerate")
 
-def _random_sign(rng) -> float:
-    """-1.0 or +1.0 with equal odds; draws the same stream as
-    ``rng.choice([-1.0, 1.0])`` at a fifth of its cost."""
-    return (-1.0, 1.0)[rng.integers(0, 2)]
+
+def _pick(rng, options):
+    """One of options with equal odds; draws the same stream as
+    ``rng.choice(options)`` at a fifth of its cost."""
+    return options[rng.integers(0, len(options))]
 
 
 def random_params(rng) -> PuParams:
     """alpha in [-3, 3], |beta| in [0.1, 3] with a random sign."""
     alpha = rng.uniform(-3.0, 3.0)
-    beta = rng.uniform(0.1, 3.0) * _random_sign(rng)
+    beta = rng.uniform(0.1, 3.0) * _pick(rng, _SIGNS)
     return PuParams(alpha, beta)
 
 
@@ -78,11 +84,19 @@ def random_freq_params(rng, sep: float = 0.1) -> PuParams:
             return PuParams.from_frequencies(w1, w2)
 
 
+def _regime_params(regime: str, rng) -> PuParams:
+    """Equal frequencies in [0.5, 2] for the degenerate regime, else random_freq_params."""
+    if regime == "degenerate":
+        w = float(rng.uniform(0.5, 2.0))
+        return PuParams.from_frequencies(w, w)
+    return random_freq_params(rng)
+
+
 def admissible_spec(kind: str, p: PuParams, rng) -> transform.TransformSpec:
     """A catalog transformation at drawn free parameters; raises PuError
     when the draw hits an excluded value or a complex branch."""
-    ax = float(rng.uniform(0.3, 2.0) * _random_sign(rng))
-    ay = float(rng.uniform(0.3, 2.0) * _random_sign(rng))
+    ax = float(rng.uniform(0.3, 2.0) * _pick(rng, _SIGNS))
+    ay = float(rng.uniform(0.3, 2.0) * _pick(rng, _SIGNS))
     g = float(rng.uniform(-0.5, 0.5))
     if kind.startswith("Ta"):
         return transform.build(kind, p, ax=ax, ay=ay, g=g)
@@ -90,7 +104,7 @@ def admissible_spec(kind: str, p: PuParams, rng) -> transform.TransformSpec:
         return transform.build(kind, p, ax=ax, bx=float(rng.uniform(-3.0, 3.0)),
                                g=g if g != 0.0 else 0.3)
     return transform.build(kind, p, ax=ax,
-                           by=float(rng.uniform(0.3, 2.0) * _random_sign(rng)), g=g)
+                           by=float(rng.uniform(0.3, 2.0) * _pick(rng, _SIGNS)), g=g)
 
 
 @_memoized
@@ -105,18 +119,46 @@ def _nondegenerate(p: PuParams) -> PuParams:
     return p if not p.degenerate else _stand_in(p)
 
 
-def _check_kernels(p, rng, tol):
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        a = rng.uniform(-2.0, 2.0, (n, n))
-        if abs(np.linalg.det(a)) < 1e-3:
-            continue
-        worst = max(worst, float(np.max(np.abs(a @ linalg.inverse(a) - np.eye(n)))))
-        e = linalg.expm(a * 0.3)
-        em = linalg.expm(-a * 0.3)
-        worst = max(worst, float(np.max(np.abs(e @ em - np.eye(n)))))
-    return worst <= 1e-9, worst, 20
+def _worst(rng, n: int, *measures) -> float:
+    """The largest value that n counted draws of each measure in turn return.
+
+    ``measure(rng)`` returns the values of one draw (none at all for a
+    counted draw that measures nothing), or None to draw again without
+    counting.  The loop catches no exception, so each measure catches just
+    what it redraws on.  A nan value makes the result nan, where ``max``
+    would drop it; no values at all give 0.0.
+    """
+    values = []
+    for measure in measures:
+        for _ in range(n):
+            while (drawn := measure(rng)) is None:
+                pass
+            values.extend(drawn)
+    return float(np.max(values, initial=0.0))
+
+
+def _over_draws(n: int, bound: float, *measures) -> Callable:
+    """The check of n counted draws of each measure (see ``_worst``) that
+    passes when the worst value is at most bound."""
+    def check(p, rng, tol):
+        worst = _worst(rng, n, *measures)
+        return worst <= bound, worst, n * len(measures)
+    return check
+
+
+def _span_residual(span, target) -> float:
+    """Relative least-squares distance of target from the column span."""
+    coef, _, _, _ = np.linalg.lstsq(span, target, rcond=None)
+    return float(np.linalg.norm(span @ coef - target) / (1.0 + np.linalg.norm(target)))
+
+
+def _kernels(rng):
+    n = int(rng.integers(2, 6))
+    a = rng.uniform(-2.0, 2.0, (n, n))
+    if abs(np.linalg.det(a)) < 1e-3:
+        return ()
+    return (np.max(np.abs(a @ linalg.inverse(a) - np.eye(n))),
+            np.max(np.abs(linalg.expm(a * 0.3) @ linalg.expm(-a * 0.3) - np.eye(n))))
 
 
 def _check_commutant(p, rng, tol):
@@ -128,108 +170,74 @@ def _check_commutant(p, rng, tol):
             return False, float(len(basis)), 25
         span = np.column_stack([g.matrix.ravel() for g in basis])
         for gen in symmetry.standard_basis(pp):
-            target = gen.matrix.ravel()
-            coef, _, _, _ = np.linalg.lstsq(span, target, rcond=None)
-            worst = max(worst, float(np.linalg.norm(span @ coef - target)
-                                     / (1.0 + np.linalg.norm(target))))
+            worst = max(worst, _span_residual(span, gen.matrix.ravel()))
     return worst <= 1e-9, worst, 25
 
 
-def _check_abelian(p, rng, tol):
-    worst = 0.0
-    for _ in range(25):
-        pp = random_params(rng)
-        gens = symmetry.standard_basis(pp)
-        for gi in gens:
-            for gj in gens:
-                worst = max(worst, float(np.linalg.norm(
-                    symmetry.commutator(gi, gj).matrix)))
-    return worst <= 1e-12, worst, 25
+def _commutators(rng):
+    gens = symmetry.standard_basis(random_params(rng))
+    return [np.linalg.norm(symmetry.commutator(gi, gj).matrix) for gi in gens for gj in gens]
 
 
-def _check_flow_pairs(p, rng, tol):
-    worst = 0.0
-    for _ in range(100):
-        pp = random_params(rng)
-        worst = max(worst, flow_residual(poisson_j1(pp), hamiltonian_h1(pp), pp))
-        worst = max(worst, flow_residual(poisson_j2(pp), hamiltonian_h2(pp), pp))
-    return worst <= 1e-12, worst, 100
+def _flow_pairs(rng):
+    pp = random_params(rng)
+    return (flow_residual(poisson_j1(pp), hamiltonian_h1(pp), pp),
+            flow_residual(poisson_j2(pp), hamiltonian_h2(pp), pp))
 
 
-def _check_ostrogradsky(p, rng, tol):
-    worst = 0.0
-    for _ in range(50):
-        pp = random_params(rng)
-        t = ostrogradsky_matrix(pp)
-        worst = max(worst, float(np.max(np.abs(
-            t.T @ ostrogradsky_hamiltonian(pp).matrix @ t - hamiltonian_h1(pp).matrix))))
-        tinv = linalg.inverse(t)
-        pushed = tinv @ canonical_tensor().matrix @ tinv.T
-        worst = max(worst, float(np.max(np.abs(pushed - poisson_j1(pp).matrix))))
-    return worst <= 1e-12, worst, 50
+def _ostrogradsky(rng):
+    pp = random_params(rng)
+    t = ostrogradsky_matrix(pp)
+    pulled = t.T @ ostrogradsky_hamiltonian(pp).matrix @ t
+    tinv = linalg.inverse(t)
+    pushed = tinv @ canonical_tensor().matrix @ tinv.T
+    return (np.max(np.abs(pulled - hamiltonian_h1(pp).matrix)),
+            np.max(np.abs(pushed - poisson_j1(pp).matrix)))
 
 
-def _check_involution(p, rng, tol):
-    worst = 0.0
-    for _ in range(20):
-        pp = random_params(rng)
-        worst = max(worst, hierarchy.involution_residual(pp, depth=5))
-    return worst <= 1e-10, worst, 20
+def _involution(rng):
+    return (hierarchy.involution_residual(random_params(rng), depth=5),)
 
 
-def _check_recursion(p, rng, tol):
-    worst = 0.0
-    for _ in range(25):
-        pp = random_params(rng)
-        ladder = hierarchy.charge_ladder(pp, 4).charges
-        c3 = hierarchy.coefficients_on_h1h2(pp, ladder[2])
-        c4 = hierarchy.coefficients_on_h1h2(pp, ladder[3])
-        worst = max(worst, abs(c3[0] + pp.beta), abs(c3[1] + pp.alpha))
-        worst = max(worst, abs(c4[0] - pp.alpha * pp.beta),
-                    abs(c4[1] - (pp.alpha ** 2 - pp.beta)))
-    return worst <= 1e-10, worst, 25
+def _recursion(rng):
+    pp = random_params(rng)
+    ladder = hierarchy.charge_ladder(pp, 4).charges
+    c3 = hierarchy.coefficients_on_h1h2(pp, ladder[2])
+    c4 = hierarchy.coefficients_on_h1h2(pp, ladder[3])
+    return (abs(c3[0] + pp.beta), abs(c3[1] + pp.alpha),
+            abs(c4[0] - pp.alpha * pp.beta), abs(c4[1] - (pp.alpha ** 2 - pp.beta)))
 
 
-def _check_ladder_routes(p, rng, tol):
-    worst = 0.0
-    for _ in range(25):
-        pp = random_params(rng)
-        if abs(pp.alpha) < 0.1:
-            continue
-        ladder = hierarchy.charge_ladder(pp, 7).charges
-        for k in range(1, 7):
-            a = hierarchy.ladder_via_x3(pp, k)
-            b = hierarchy.x3_action_ladder(pp, k)
-            scale = 1.0 + np.linalg.norm(ladder[k].matrix)
-            worst = max(worst, float(np.linalg.norm(a.matrix - ladder[k].matrix) / scale))
-            worst = max(worst, float(np.linalg.norm(b.matrix - ladder[k].matrix) / scale))
-    return worst <= 1e-9, worst, 25
+def _ladder_routes(rng):
+    pp = random_params(rng)
+    if abs(pp.alpha) < 0.1:
+        return ()
+    ladder = hierarchy.charge_ladder(pp, 7).charges
+    values = []
+    for k in range(1, 7):
+        a = hierarchy.ladder_via_x3(pp, k)
+        b = hierarchy.x3_action_ladder(pp, k)
+        scale = 1.0 + np.linalg.norm(ladder[k].matrix)
+        values += [np.linalg.norm(route.matrix - ladder[k].matrix) / scale for route in (a, b)]
+    return values
 
 
-def _check_x4_pair(p, rng, tol):
-    worst = 0.0
-    for _ in range(50):
-        pp = random_params(rng)
-        hb1, hb2 = hierarchy.x4_pair(pp)
-        a4 = symmetry.standard_basis(pp)[3].matrix
-        worst = max(worst, float(np.linalg.norm(poisson_j1(pp).matrix @ hb1.matrix - a4)))
-        worst = max(worst, float(np.linalg.norm(poisson_j2(pp).matrix @ hb2.matrix - a4)))
-    return worst <= 1e-10, worst, 50
+def _x4_pair(rng):
+    pp = random_params(rng)
+    hb1, hb2 = hierarchy.x4_pair(pp)
+    a4 = symmetry.standard_basis(pp)[3].matrix
+    return (np.linalg.norm(poisson_j1(pp).matrix @ hb1.matrix - a4),
+            np.linalg.norm(poisson_j2(pp).matrix @ hb2.matrix - a4))
 
 
-def _check_combined_flow(p, rng, tol):
-    worst = 0.0
-    n = 0
-    while n < 200:
-        pp = random_freq_params(rng)
-        c1, c2 = rng.uniform(-3.0, 3.0, 2)
-        try:
-            cs = hierarchy.combine(pp, c1, c2)
-        except PuError:
-            continue
-        worst = max(worst, flow_residual(cs.jbar, cs.hbar, pp))
-        n += 1
-    return worst <= 1e-10, worst, 200
+def _combined_flow(rng):
+    pp = random_freq_params(rng)
+    c1, c2 = rng.uniform(-3.0, 3.0, 2)
+    try:
+        cs = hierarchy.combine(pp, c1, c2)
+    except PuError:
+        return None
+    return (flow_residual(cs.jbar, cs.hbar, pp),)
 
 
 def _check_pd_window(p, rng, tol):
@@ -270,119 +278,86 @@ def _check_pd_window(p, rng, tol):
     return ok, float(mismatches), 200
 
 
-def _check_pd_decompose(p, rng, tol):
-    worst = 0.0
-    n = 0
-    while n < 50:
-        pp = random_freq_params(rng)
-        c1, c2 = rng.uniform(-3.0, 3.0, 2)
-        try:
-            cs = hierarchy.combine(pp, c1, c2)
-            dec = hierarchy.pd_decompose(pp, c1, c2)
-        except PuError:
-            continue
-        total = dec.h12.matrix + dec.h21.matrix
-        worst = max(worst, float(np.linalg.norm(total - cs.hbar.matrix)
-                                 / (1.0 + np.linalg.norm(cs.hbar.matrix))))
-        n += 1
-    return worst <= 1e-10, worst, 50
+def _pd_decomposition(rng):
+    pp = random_freq_params(rng)
+    c1, c2 = rng.uniform(-3.0, 3.0, 2)
+    try:
+        cs = hierarchy.combine(pp, c1, c2)
+        dec = hierarchy.pd_decompose(pp, c1, c2)
+    except PuError:
+        return None
+    total = dec.h12.matrix + dec.h21.matrix
+    return (np.linalg.norm(total - cs.hbar.matrix) / (1.0 + np.linalg.norm(cs.hbar.matrix)),)
+
+
+def _closed_form_flows(regime, rng):
+    pp = _regime_params(regime, rng)
+    gens = symmetry.standard_basis(pp)
+    amps = rng.uniform(-1.0, 1.0, 4)
+    t = float(rng.uniform(0.0, 10.0))
+    s = float(rng.uniform(0.0, 2.0))
+    values = []
+    for name, gen in (("X2", gens[1]), ("X3", gens[2]), ("X4", gens[3])):
+        v0 = symmetry.closed_form_flow(name, regime, amps, pp, t, 0.0)
+        flowed = symmetry.group_flow(gen, s, v0)
+        closed = symmetry.closed_form_flow(name, regime, amps, pp, t, s)
+        values.append(np.max(np.abs(flowed.as_array() - closed.as_array())))
+    return values
 
 
 def _check_flows(p, rng, tol):
-    worst = 0.0
-    for regime in ("nondegenerate", "degenerate"):
-        for _ in range(10):
-            if regime == "degenerate":
-                w = float(rng.uniform(0.5, 2.0))
-                pp = PuParams.from_frequencies(w, w)
-            else:
-                pp = random_freq_params(rng)
-            gens = symmetry.standard_basis(pp)
-            amps = rng.uniform(-1.0, 1.0, 4)
-            t = float(rng.uniform(0.0, 10.0))
-            s = float(rng.uniform(0.0, 2.0))
-            for name, gen in (("X2", gens[1]), ("X3", gens[2]), ("X4", gens[3])):
-                v0 = symmetry.closed_form_flow(name, regime, amps, pp, t, 0.0)
-                flowed = symmetry.group_flow(gen, s, v0)
-                closed = symmetry.closed_form_flow(name, regime, amps, pp, t, s)
-                worst = max(worst, float(np.max(np.abs(
-                    flowed.as_array() - closed.as_array()))))
+    # ten draws per regime, three generators each
+    worst = _worst(rng, 10, *(partial(_closed_form_flows, r) for r in _REGIMES))
     return worst <= 1e-8, worst, 60
 
 
-def _check_solution_ode(p, rng, tol):
-    worst = 0.0
-    for regime in ("nondegenerate", "degenerate"):
-        for _ in range(50):
-            if regime == "degenerate":
-                w = float(rng.uniform(0.5, 2.0))
-                pp = PuParams.from_frequencies(w, w)
-            else:
-                pp = random_freq_params(rng)
-            sol = dynamics.ClassicalSolution(pp, tuple(rng.uniform(-1.0, 1.0, 4)), regime)
-            t = float(rng.uniform(0.0, 10.0))
-            v = dynamics.eval_solution(sol, t)
-            m = companion_field(pp)
-            vdot_last = float((m @ v.as_array())[3])
-            # q'''' from one more exact derivative
-            terms = symmetry.solution_terms(regime, sol.amplitudes, pp)
-            for _ in range(4):
-                terms = d_dt(terms)
-            q4 = eval_terms(terms, t)
-            worst = max(worst, abs(q4 - vdot_last))
-    return worst <= 1e-9, worst, 100
+def _ode_residual(regime, rng):
+    pp = _regime_params(regime, rng)
+    sol = dynamics.ClassicalSolution(pp, tuple(rng.uniform(-1.0, 1.0, 4)), regime)
+    t = float(rng.uniform(0.0, 10.0))
+    v = dynamics.eval_solution(sol, t)
+    vdot_last = float((companion_field(pp) @ v.as_array())[3])
+    # q'''' from one more exact derivative
+    terms = symmetry.solution_terms(regime, sol.amplitudes, pp)
+    for _ in range(4):
+        terms = d_dt(terms)
+    return (abs(eval_terms(terms, t) - vdot_last),)
 
 
-def _check_catalog_defining(p, rng, tol):
-    worst = 0.0
-    count = 0
-    for kind in transform.KINDS:
-        n = 0
-        while n < 50:
-            pp = random_freq_params(rng)
-            try:
-                spec = admissible_spec(kind, pp, rng)
-            except PuError:
-                continue
-            worst = max(worst, transform.defining_residual(spec, pp))
-            n += 1
-            count += 1
-    return worst <= 1e-10, worst, count
+def _defining(kind, rng):
+    pp = random_freq_params(rng)
+    try:
+        spec = admissible_spec(kind, pp, rng)
+    except PuError:
+        return None
+    return (transform.defining_residual(spec, pp),)
 
 
-def _check_catalog_pullback(p, rng, tol):
-    worst = 0.0
-    count = 0
-    for kind in transform.KINDS:
-        n = 0
-        while n < 50:
-            pp = random_freq_params(rng)
-            try:
-                spec = admissible_spec(kind, pp, rng)
-                got = np.array(transform.pullback_hamiltonian(spec, pp))
-            except PuError:
-                continue
-            want = np.array(transform.catalog_pullback_coefficients(spec, pp))
-            worst = max(worst, float(np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want)))))
-            n += 1
-            count += 1
-    return worst <= 1e-9, worst, count
+def _pullback(kind, rng):
+    pp = random_freq_params(rng)
+    try:
+        spec = admissible_spec(kind, pp, rng)
+        got = np.array(transform.pullback_hamiltonian(spec, pp))
+    except PuError:
+        return None
+    want = np.array(transform.catalog_pullback_coefficients(spec, pp))
+    return (np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want))),)
+
+
+def _round_trip(rng):
+    pp = random_freq_params(rng)
+    kind = _pick(rng, ("Ta2+", "Ta2-", "Tb1"))
+    try:
+        spec = admissible_spec(kind, pp, rng)
+    except PuError:
+        return None
+    v = PhaseState(*rng.uniform(-2.0, 2.0, 4))
+    back = transform.inverse(spec, transform.forward(spec, v))
+    return (np.max(np.abs(back.as_array() - v.as_array())),)
 
 
 def _check_catalog_inverse(p, rng, tol):
-    worst = 0.0
-    n = 0
-    while n < 50:
-        pp = random_freq_params(rng)
-        kind = ("Ta2+", "Ta2-", "Tb1")[int(rng.integers(0, 3))]
-        try:
-            spec = admissible_spec(kind, pp, rng)
-        except PuError:
-            continue
-        v = PhaseState(*rng.uniform(-2.0, 2.0, 4))
-        back = transform.inverse(spec, transform.forward(spec, v))
-        worst = max(worst, float(np.max(np.abs(back.as_array() - v.as_array()))))
-        n += 1
+    worst = _worst(rng, 50, _round_trip)
     # Ta1 must be singular
     singular_ok = True
     try:
@@ -399,7 +374,7 @@ def _check_flow_tensor(p, rng, tol):
     n = 0
     while n < 50:
         pp = random_freq_params(rng)
-        kind = ("Ta2+", "Ta2-", "Tb1")[int(rng.integers(0, 3))]
+        kind = _pick(rng, ("Ta2+", "Ta2-", "Tb1"))
         try:
             spec = admissible_spec(kind, pp, rng)
             c3, c4 = transform.pullback_hamiltonian(spec, pp)
@@ -417,7 +392,7 @@ def _check_flow_tensor(p, rng, tol):
     total = 0
     while total < 20:
         pp = random_freq_params(rng)
-        kind = ("Ta1+", "Ta1-", "Tb2+", "Tb2-")[int(rng.integers(0, 4))]
+        kind = _pick(rng, ("Ta1+", "Ta1-", "Tb2+", "Tb2-"))
         try:
             spec = admissible_spec(kind, pp, rng)
             c3, c4 = transform.pullback_hamiltonian(spec, pp)
@@ -431,67 +406,67 @@ def _check_flow_tensor(p, rng, tol):
     return worst <= 1e-10 and tripped == total, worst, 70
 
 
-def _check_tensor_reductions(p, rng, tol):
-    worst = 0.0
-    for _ in range(20):
-        pp = random_freq_params(rng)
-        g = float(rng.uniform(-0.4, 0.4))
-        radicand = pp.alpha ** 2 - 4.0 * pp.beta - 4.0 * g
-        if radicand <= 1e-3:
-            continue
-        r = math.sqrt(radicand)
-        for sign, kind in ((+1.0, "Ta2+"), (-1.0, "Ta2-")):
-            spec = transform.build(kind, pp, ax=sign * r, ay=-sign * r, g=g)
+def _j1_reduction(rng):
+    pp = random_freq_params(rng)
+    g = float(rng.uniform(-0.4, 0.4))
+    radicand = pp.alpha ** 2 - 4.0 * pp.beta - 4.0 * g
+    if radicand <= 1e-3:
+        return ()
+    r = math.sqrt(radicand)
+    values = []
+    for sign, kind in ((+1.0, "Ta2+"), (-1.0, "Ta2-")):
+        spec = transform.build(kind, pp, ax=sign * r, ay=-sign * r, g=g)
+        c3, c4 = transform.pullback_hamiltonian(spec, pp)
+        jt = transform.flow_preserving_tensor(pp, c3, c4)
+        values.append(np.max(np.abs(jt.matrix - poisson_j1(pp).matrix)))
+    return values
+
+
+def _j2_reduction(rng):
+    # ax = 1, ay = -1/2, g = -alpha +- 3 sqrt(beta)/sqrt(2)
+    pp = random_freq_params(rng)
+    values = []
+    for sgn in (+1.0, -1.0):
+        g = -pp.alpha + sgn * 3.0 * math.sqrt(pp.beta) / math.sqrt(2.0)
+        try:
+            spec = transform.build("Ta2-", pp, ax=1.0, ay=-0.5, g=g)
             c3, c4 = transform.pullback_hamiltonian(spec, pp)
             jt = transform.flow_preserving_tensor(pp, c3, c4)
-            worst = max(worst, float(np.max(np.abs(jt.matrix - poisson_j1(pp).matrix))))
-    # J2 reduction at ax=1, ay=-1/2, g = -alpha +- 3 sqrt(beta)/sqrt(2)
-    for _ in range(10):
-        pp = random_freq_params(rng)
-        for sgn in (+1.0, -1.0):
-            g = -pp.alpha + sgn * 3.0 * math.sqrt(pp.beta) / math.sqrt(2.0)
-            try:
-                spec = transform.build("Ta2-", pp, ax=1.0, ay=-0.5, g=g)
-                c3, c4 = transform.pullback_hamiltonian(spec, pp)
-                jt = transform.flow_preserving_tensor(pp, c3, c4)
-            except PuError:
-                continue
-            worst = max(worst, float(np.max(np.abs(jt.matrix - poisson_j2(pp).matrix))))
+        except PuError:
+            continue
+        values.append(np.max(np.abs(jt.matrix - poisson_j2(pp).matrix)))
+    return values
+
+
+def _check_tensor_reductions(p, rng, tol):
+    worst = float(np.max([_worst(rng, 20, _j1_reduction), _worst(rng, 10, _j2_reduction)]))
     return worst <= 1e-10, worst, 30
 
 
-def _check_pushforward_formula(p, rng, tol):
-    worst = 0.0
-    n = 0
-    while n < 50:
-        pp = random_freq_params(rng)
-        try:
-            spec = admissible_spec(("Ta2+", "Tb1")[int(rng.integers(0, 2))], pp, rng)
-        except PuError:
-            continue
-        c1, c2 = rng.uniform(-2.0, 2.0, 2)
-        table = transform.pushforward_brackets(spec, combined_tensor(pp, c1, c2))
-        mu0, _, mu2 = spec.mu
-        nu0, _, nu2 = spec.nu
-        ax, ay = spec.ax, spec.ay
-        alpha, beta = pp.alpha, pp.beta
-        want_xpx = ax * (mu2 * mu2 * (alpha * c1 - c2) + c2 * mu0 * mu0 / beta
-                         - 2.0 * c1 * mu2 * mu0)
-        want_ypy = ay * (c2 * nu0 * nu0 / beta - nu2 * nu2 * (c2 - alpha * c1)
-                         - 2.0 * c1 * nu2 * nu0)
-        # cross entries: the two displayed formulas disagree in sign with each
-        # other; the bracket definition gives {x,py}/ay = {y,px}/ax = cross
-        cross = (mu2 * nu2 * (alpha * c1 - c2) - c1 * (mu2 * nu0 + mu0 * nu2)
-                 + c2 * mu0 * nu0 / beta)
-        scale = 1.0 + max(abs(want_xpx), abs(want_ypy), abs(cross))
-        worst = max(worst,
-                    abs(table[0, 2] - want_xpx) / scale,
-                    abs(table[0, 3] - ay * cross) / scale,
-                    abs(table[1, 2] - ax * cross) / scale,
-                    abs(table[1, 3] - want_ypy) / scale,
-                    abs(table[0, 1]) / scale, abs(table[2, 3]) / scale)
-        n += 1
-    return worst <= 1e-9, worst, 50
+def _pushforward(rng):
+    pp = random_freq_params(rng)
+    try:
+        spec = admissible_spec(_pick(rng, ("Ta2+", "Tb1")), pp, rng)
+    except PuError:
+        return None
+    c1, c2 = rng.uniform(-2.0, 2.0, 2)
+    table = transform.pushforward_brackets(spec, combined_tensor(pp, c1, c2))
+    mu0, _, mu2 = spec.mu
+    nu0, _, nu2 = spec.nu
+    ax, ay = spec.ax, spec.ay
+    alpha, beta = pp.alpha, pp.beta
+    want_xpx = ax * (mu2 * mu2 * (alpha * c1 - c2) + c2 * mu0 * mu0 / beta
+                     - 2.0 * c1 * mu2 * mu0)
+    want_ypy = ay * (c2 * nu0 * nu0 / beta - nu2 * nu2 * (c2 - alpha * c1)
+                     - 2.0 * c1 * nu2 * nu0)
+    # cross entries: the two displayed formulas disagree in sign with each
+    # other; the bracket definition gives {x,py}/ay = {y,px}/ax = cross
+    cross = (mu2 * nu2 * (alpha * c1 - c2) - c1 * (mu2 * nu0 + mu0 * nu2)
+             + c2 * mu0 * nu0 / beta)
+    scale = 1.0 + max(abs(want_xpx), abs(want_ypy), abs(cross))
+    return (abs(table[0, 2] - want_xpx) / scale, abs(table[0, 3] - ay * cross) / scale,
+            abs(table[1, 2] - ax * cross) / scale, abs(table[1, 3] - want_ypy) / scale,
+            abs(table[0, 1]) / scale, abs(table[2, 3]) / scale)
 
 
 def _check_ghost_forms(p, rng, tol):
@@ -567,7 +542,7 @@ def _check_positivity_pieces(p, rng, tol):
         w1, w2 = pp.frequencies()
         lo, hi = sorted((w1 * w1, w2 * w2))
         bx = float(rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)))
-        g = float(rng.uniform(0.3, 1.5) * _random_sign(rng))
+        g = float(rng.uniform(0.3, 1.5) * _pick(rng, _SIGNS))
         try:
             dec = transform.pd_decompose_transformed("Tb1", pp, bx=bx, g=g)
         except PuError:
@@ -581,29 +556,26 @@ def _check_positivity_pieces(p, rng, tol):
     return worst <= 1e-10, worst, 40
 
 
-def _check_sm_embedding(p, rng, tol):
-    worst = 0.0
-    n = 0
-    while n < 10:
-        pp = random_freq_params(rng)
-        mu_w = float(rng.uniform(0.3, 2.0))
-        mu_z = float(rng.uniform(0.3, 2.0))
-        tau_sm = float(rng.uniform(0.5, 1.5))
-        branch = int(_random_sign(rng))
-        try:
-            emb = transform.sm_embedding(pp, mu_w, mu_z, tau_sm, branch)
-        except PuError:
-            continue
-        c3, c4 = transform.pullback_hamiltonian(emb.spec, pp)
-        hq = c3 * hamiltonian_h1(pp) + c4 * hamiltonian_h2(pp)
-        for _ in range(20):
-            v = PhaseState(*rng.uniform(-1.0, 1.0, 4))
-            hsm = emb.h_sm.value(emb.state(v))
-            worst = max(worst, abs(hsm - emb.scale * hq.value(v)) / (1.0 + abs(hsm)))
-        jt = transform.flow_preserving_tensor(pp, c3, c4)
-        worst = max(worst, flow_residual(jt, hq, pp))
-        n += 1
-    return worst <= 1e-9, worst, 10
+def _sm_embedding(rng):
+    pp = random_freq_params(rng)
+    mu_w = float(rng.uniform(0.3, 2.0))
+    mu_z = float(rng.uniform(0.3, 2.0))
+    tau_sm = float(rng.uniform(0.5, 1.5))
+    branch = int(_pick(rng, _SIGNS))
+    try:
+        emb = transform.sm_embedding(pp, mu_w, mu_z, tau_sm, branch)
+    except PuError:
+        return None
+    c3, c4 = transform.pullback_hamiltonian(emb.spec, pp)
+    hq = c3 * hamiltonian_h1(pp) + c4 * hamiltonian_h2(pp)
+    values = []
+    for _ in range(20):
+        v = PhaseState(*rng.uniform(-1.0, 1.0, 4))
+        hsm = emb.h_sm.value(emb.state(v))
+        values.append(abs(hsm - emb.scale * hq.value(v)) / (1.0 + abs(hsm)))
+    jt = transform.flow_preserving_tensor(pp, c3, c4)
+    values.append(flow_residual(jt, hq, pp))
+    return values
 
 
 def _reference_solution(pp: PuParams) -> dynamics.ClassicalSolution:
@@ -691,53 +663,49 @@ def _check_two_route(p, rng, tol):
     return err <= 1e-6, err, 1
 
 
-def _check_discovery(p, rng, tol):
-    worst = 0.0
-    for _ in range(10):
-        pp = random_params(rng)
-        res = dynamics.structure_discovery(pp)
-        span = np.column_stack([k.ravel() for k in res.kernels])
-        for tensor in (poisson_j1(pp), poisson_j2(pp)):
-            target = linalg.inverse(tensor.matrix).ravel()
-            coef, _, _, _ = np.linalg.lstsq(span, target, rcond=None)
-            worst = max(worst, float(np.linalg.norm(span @ coef - target)
-                                     / (1.0 + np.linalg.norm(target))))
-        for j, h in res.pairs:
-            worst = max(worst, flow_residual(j, h, pp))
-    return worst <= 1e-9, worst, 10
+def _discovery(rng):
+    pp = random_params(rng)
+    res = dynamics.structure_discovery(pp)
+    span = np.column_stack([k.ravel() for k in res.kernels])
+    values = [_span_residual(span, linalg.inverse(tensor.matrix).ravel())
+              for tensor in (poisson_j1(pp), poisson_j2(pp))]
+    return values + [flow_residual(j, h, pp) for j, h in res.pairs]
 
 
 CHECKS: list[tuple[str, str, Callable]] = [
-    ("kernels.identities", "invented — artifact plumbing", _check_kernels),
+    ("kernels.identities", "invented — artifact plumbing", _over_draws(20, 1e-9, _kernels)),
     ("lie.commutant-dimension", "§2.1", _check_commutant),
-    ("lie.abelian-algebra", "Eqs. (Lie1)–(Lie4)", _check_abelian),
-    ("structure.flow-pairs", "Eq. (flow1)", _check_flow_pairs),
-    ("structure.ostrogradsky", "Eq. (equm3)", _check_ostrogradsky),
-    ("hierarchy.involution", "Eq. (Poi1)", _check_involution),
-    ("hierarchy.recursion-coefficients", "Eq. (recn)", _check_recursion),
-    ("hierarchy.ladder-routes", "§2.3", _check_ladder_routes),
-    ("hierarchy.x4-pair", "§2.3", _check_x4_pair),
-    ("combined.flow-residual", "Eq. (a1234)", _check_combined_flow),
+    ("lie.abelian-algebra", "Eqs. (Lie1)–(Lie4)", _over_draws(25, 1e-12, _commutators)),
+    ("structure.flow-pairs", "Eq. (flow1)", _over_draws(100, 1e-12, _flow_pairs)),
+    ("structure.ostrogradsky", "Eq. (equm3)", _over_draws(50, 1e-12, _ostrogradsky)),
+    ("hierarchy.involution", "Eq. (Poi1)", _over_draws(20, 1e-10, _involution)),
+    ("hierarchy.recursion-coefficients", "Eq. (recn)", _over_draws(25, 1e-10, _recursion)),
+    ("hierarchy.ladder-routes", "§2.3", _over_draws(25, 1e-9, _ladder_routes)),
+    ("hierarchy.x4-pair", "§2.3", _over_draws(50, 1e-10, _x4_pair)),
+    ("combined.flow-residual", "Eq. (a1234)", _over_draws(200, 1e-10, _combined_flow)),
     ("combined.pd-window", "Eq. (PDC)", _check_pd_window),
-    ("combined.pd-decomposition", "Eq. (H12H21)", _check_pd_decompose),
+    ("combined.pd-decomposition", "Eq. (H12H21)", _over_draws(50, 1e-10, _pd_decomposition)),
     ("flows.closed-forms", "§2.4", _check_flows),
-    ("solutions.ode-residual", "Eq. (solndeg)", _check_solution_ode),
-    ("catalog.defining-relations", "Eqs. (Ta1tran)–(Tb2tran)", _check_catalog_defining),
-    ("catalog.pullback-coefficients", "Eqs. (HT1)–(HT4)", _check_catalog_pullback),
+    ("solutions.ode-residual", "Eq. (solndeg)",
+     _over_draws(50, 1e-9, *(partial(_ode_residual, r) for r in _REGIMES))),
+    ("catalog.defining-relations", "Eqs. (Ta1tran)–(Tb2tran)",
+     _over_draws(50, 1e-10, *(partial(_defining, kind) for kind in transform.KINDS))),
+    ("catalog.pullback-coefficients", "Eqs. (HT1)–(HT4)",
+     _over_draws(50, 1e-9, *(partial(_pullback, kind) for kind in transform.KINDS))),
     ("catalog.inverse-map", "Eq. (qqqxy)", _check_catalog_inverse),
     ("catalog.flow-tensor", "Eq. (Jflow)", _check_flow_tensor),
     ("catalog.tensor-reductions", "Eq. (J2)", _check_tensor_reductions),
-    ("catalog.pushforward-brackets", "Eqs. (nanvP1)–(nanvP2)", _check_pushforward_formula),
+    ("catalog.pushforward-brackets", "Eqs. (nanvP1)–(nanvP2)", _over_draws(50, 1e-9, _pushforward)),
     ("ghost.variants", "§3.3", _check_ghost_forms),
     ("positivity.windows", "§4", _check_positivity_windows),
     ("positivity.square-pieces", "§4", _check_positivity_pieces),
-    ("sm.embedding", "Eq. (Alicoeff)", _check_sm_embedding),
+    ("sm.embedding", "Eq. (Alicoeff)", _over_draws(10, 1e-9, _sm_embedding)),
     ("dynamics.rk4", "Eq. (1flow)", _check_rk4),
     ("dynamics.conservation", "§2.3", _check_conservation),
     ("dynamics.degenerate-growth", "Eq. (soldeg)", _check_degenerate_growth),
     ("interaction.unique-tensor", "§4.1", _check_interaction_unique),
     ("interaction.two-route", "§4.1", _check_two_route),
-    ("discovery.structures", "§2.2", _check_discovery),
+    ("discovery.structures", "§2.2", _over_draws(10, 1e-9, _discovery)),
 ]
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -51,6 +53,14 @@ class TestUsageErrors:
         r = run_cli(command, "--omega1", "2", "--omega2", "1", "--seed", "3")
         assert r.returncode == 2
         assert "unrecognized arguments: --seed 3" in r.stderr
+
+    @pytest.mark.parametrize("command", [["verify"], ["hierarchy"], ["discover"],
+                                         ["transform", "--kind", "Tb1", "--bx", "0"]],
+                             ids=["verify", "hierarchy", "discover", "transform"])
+    def test_negative_seed_rejected(self, command):
+        r = run_cli(*command, "--omega1", "2", "--omega2", "1", "--seed", "-1")
+        assert r.returncode == 2
+        assert "expected a non-negative integer" in r.stderr and "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--omega1", "2", "--omega2", "1", "--h", "nan"],
@@ -115,6 +125,21 @@ class TestHierarchyCommand:
         data = json.loads(r.stdout)
         assert data["charges"][0]["c_h1"] == pytest.approx(1.0, abs=1e-12)
         assert data["charges"][1]["c_h2"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_out_file_mode_follows_the_umask(self, tmp_path):
+        plain, out = tmp_path / "plain.csv", tmp_path / "h.csv"
+        saved = os.umask(0o022)
+        try:
+            plain.touch()
+            modes = []
+            for _ in range(2):  # a new report, then one written over it
+                r = run_cli("hierarchy", "--alpha", "5", "--beta", "4", "--out", str(out))
+                assert r.returncode == 0
+                modes.append(stat.S_IMODE(out.stat().st_mode))
+        finally:
+            os.umask(saved)
+        assert modes == [stat.S_IMODE(plain.stat().st_mode)] * 2 == [0o644] * 2
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["h.csv", "plain.csv"]
 
 
 class TestTransformCommand:
