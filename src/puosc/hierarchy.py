@@ -216,10 +216,6 @@ def involution_residual(p: PuParams, depth: int = 5) -> float:
     """Largest bracket norm among {H_i, H_j} under both tensors, i,j <= depth."""
     ladder = charge_ladder(p, depth).charges
     j1, j2 = poisson_j1(p), poisson_j2(p)
-    worst = 0.0
-    for i in range(depth):
-        for j in range(depth):
-            for tensor in (j1, j2):
-                worst = max(worst, float(np.linalg.norm(
-                    quad_bracket(tensor, ladder[i], ladder[j]).matrix)))
-    return worst
+    return float(np.max([np.linalg.norm(quad_bracket(tensor, ladder[i], ladder[j]).matrix)
+                         for i in range(depth) for j in range(depth) for tensor in (j1, j2)],
+                        initial=0.0))

@@ -3,14 +3,16 @@
 Each check exercises one structural identity at randomized parameters and
 reports (pass, residual, samples).  Most are ``_over_draws`` rows of the
 ``CHECKS`` table: n draws of a measure, passing when the worst value is
-within the row's bound.  The report also carries the resolved-typo
-ledger: wherever two printed readings of a formula disagreed, the entry
-records which reading survived the numerical ground truth.
+within the row's bound.  The five checks that draw nothing are
+``_seed_free`` rows, run once per parameter point in a process.  The
+report also carries the resolved-typo ledger: wherever two printed
+readings of a formula disagreed, the entry records which reading survived
+the numerical ground truth.
 """
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import partial, wraps
 from typing import Callable
 
 import numpy as np
@@ -146,6 +148,34 @@ def _over_draws(n: int, bound: float, *measures) -> Callable:
     return check
 
 
+_SEED_FREE: dict = {}  # (check, repr(p), repr(tol)) -> (pass, residual, samples)
+_SEED_FREE_SIZE = 1024  # entries; the oldest goes first
+
+
+def _seed_free(check) -> Callable:
+    """The check, run once per exact (p, tol) in this process.
+
+    Only for checks that draw nothing from rng, whose result is a function
+    of p and tol alone.  The key holds repr(p), which writes the exact bits
+    of every field (alpha = 0.0 and -0.0 differ), and repr(tol); an entry
+    holds three Python scalars, never an array or the params.  The check
+    runs with the caller's own p, so a cold report still shares the params'
+    memo.  A call that raises stores nothing.
+    """
+    @wraps(check)
+    def wrapper(p, rng, tol):
+        key = (check, repr(p), repr(tol))
+        result = _SEED_FREE.get(key)
+        if result is None:
+            passed, residual, samples = check(p, rng, tol)
+            result = bool(passed), float(residual), int(samples)
+            if len(_SEED_FREE) >= _SEED_FREE_SIZE:
+                del _SEED_FREE[next(iter(_SEED_FREE))]
+            _SEED_FREE[key] = result
+        return result
+    return wrapper
+
+
 def _span_residual(span, target) -> float:
     """Relative least-squares distance of target from the column span."""
     coef, _, _, _ = np.linalg.lstsq(span, target, rcond=None)
@@ -162,15 +192,15 @@ def _kernels(rng):
 
 
 def _check_commutant(p, rng, tol):
-    worst = 0.0
+    values = []
     for _ in range(25):
         pp = random_params(rng)
         basis = symmetry.solve_symmetries(pp)
         if len(basis) != 4:
             return False, float(len(basis)), 25
         span = np.column_stack([g.matrix.ravel() for g in basis])
-        for gen in symmetry.standard_basis(pp):
-            worst = max(worst, _span_residual(span, gen.matrix.ravel()))
+        values += [_span_residual(span, gen.matrix.ravel()) for gen in symmetry.standard_basis(pp)]
+    worst = float(np.max(values, initial=0.0))
     return worst <= 1e-9, worst, 25
 
 
@@ -370,7 +400,7 @@ def _check_catalog_inverse(p, rng, tol):
 
 
 def _check_flow_tensor(p, rng, tol):
-    worst = 0.0
+    values = []
     n = 0
     while n < 50:
         pp = random_freq_params(rng)
@@ -384,8 +414,7 @@ def _check_flow_tensor(p, rng, tol):
         except PuError:
             continue
         hbar = c3 * hamiltonian_h1(pp) + c4 * hamiltonian_h2(pp)
-        worst = max(worst, flow_residual(jt, hbar, pp))
-        worst = max(worst, transform.canonical_bracket_residual(spec, pp))
+        values += [flow_residual(jt, hbar, pp), transform.canonical_bracket_residual(spec, pp)]
         n += 1
     # exclusions must trip for Ta1 and Tb2
     tripped = 0
@@ -403,6 +432,7 @@ def _check_flow_tensor(p, rng, tol):
             transform.flow_preserving_tensor(pp, c3, c4)
         except SingularStructureError:
             tripped += 1
+    worst = float(np.max(values, initial=0.0))
     return worst <= 1e-10 and tripped == total, worst, 70
 
 
@@ -512,8 +542,16 @@ def _check_positivity_windows(p, rng, tol):
     return ok and mismatches == 0, float(mismatches), 52
 
 
+def _reassembly(dec, want_q) -> tuple[float, float]:
+    """How far the summed q pieces of dec miss want_q, and its summed xy
+    pieces the Legendre form of its transformation."""
+    return (float(np.max(np.abs(dec.h12_q.matrix + dec.h21_q.matrix - want_q))),
+            float(np.max(np.abs(dec.h12_xy.matrix + dec.h21_xy.matrix
+                                - transform.legendre(dec.spec).matrix))))
+
+
 def _check_positivity_pieces(p, rng, tol):
-    worst = 0.0
+    values = []
     n = 0
     while n < 20:
         pp = random_freq_params(rng)
@@ -524,12 +562,7 @@ def _check_positivity_pieces(p, rng, tol):
             dec = transform.pd_decompose_transformed("Ta2", pp, g=g)
         except PuError:
             continue
-        total_q = dec.h12_q.matrix + dec.h21_q.matrix
-        want_q = transform.transformed_form("Ta2", pp, g=g).matrix
-        worst = max(worst, float(np.max(np.abs(total_q - want_q))))
-        total_xy = dec.h12_xy.matrix + dec.h21_xy.matrix
-        worst = max(worst, float(np.max(np.abs(
-            total_xy - transform.legendre(dec.spec).matrix))))
+        values += _reassembly(dec, transform.transformed_form("Ta2", pp, g=g).matrix)
         if transform.pd_window_transformed("Ta2", pp, g=g):
             for piece in (dec.h12_q, dec.h21_q, dec.h12_xy, dec.h21_xy):
                 evals = np.linalg.eigvalsh(piece.matrix)
@@ -547,12 +580,9 @@ def _check_positivity_pieces(p, rng, tol):
             dec = transform.pd_decompose_transformed("Tb1", pp, bx=bx, g=g)
         except PuError:
             continue
-        total_q = dec.h12_q.matrix + dec.h21_q.matrix
-        want_q = transform.transformed_form("Tb1", pp, bx=bx).matrix
-        worst = max(worst, float(np.max(np.abs(total_q - want_q))))
-        worst = max(worst, float(np.max(np.abs(
-            dec.h12_xy.matrix + dec.h21_xy.matrix - transform.legendre(dec.spec).matrix))))
+        values += _reassembly(dec, transform.transformed_form("Tb1", pp, bx=bx).matrix)
         n += 1
+    worst = float(np.max(values, initial=0.0))
     return worst <= 1e-10, worst, 40
 
 
@@ -600,10 +630,9 @@ def _check_rk4(p, rng, tol):
     sol = _reference_solution(pp)
     v0 = dynamics.eval_solution(sol, 0.0)
     traj = _reference_orbit(pp)
-    worst = 0.0
-    for t, state in zip(traj.times[:10001:200], traj.states[:10001:200]):
-        worst = max(worst, float(np.max(np.abs(
-            state - dynamics.eval_solution(sol, t).as_array()))))
+    every = slice(0, 10001, 200)
+    exact = [dynamics.eval_solution(sol, t).as_array() for t in traj.times[every]]
+    worst = float(np.max(np.abs(traj.states[every] - exact)))
 
     def terminal_error(h):
         tr = dynamics.integrate(dynamics.LinearField(pp), v0, h, 10.0)
@@ -619,13 +648,13 @@ def _check_conservation(p, rng, tol):
     v0 = dynamics.eval_solution(_reference_solution(pp), 0.0)
     traj = _reference_orbit(pp)
     charges = list(hierarchy.charge_ladder(pp, 6).charges)
-    drift = max(dynamics.conservation_report(traj, charges))
+    drift = float(np.max(dynamics.conservation_report(traj, charges)))
     pot = dynamics.quartic_potential(0.25)
     traj_i = dynamics.integrate(dynamics.PotentialField(pp, pot), v0, 1e-3, 20.0)
     bare = dynamics.conservation_report(traj_i, [charges[0]])[0]
     augmented = dynamics.conservation_report(traj_i, [charges[0]], augment=pot)[0]
     ok = drift <= 1e-8 and augmented <= 1e-8 and bare > 1e-3
-    return ok, max(drift, augmented), 7
+    return ok, float(np.max([drift, augmented])), 7
 
 
 def _check_degenerate_growth(p, rng, tol):
@@ -696,15 +725,15 @@ CHECKS: list[tuple[str, str, Callable]] = [
     ("catalog.flow-tensor", "Eq. (Jflow)", _check_flow_tensor),
     ("catalog.tensor-reductions", "Eq. (J2)", _check_tensor_reductions),
     ("catalog.pushforward-brackets", "Eqs. (nanvP1)–(nanvP2)", _over_draws(50, 1e-9, _pushforward)),
-    ("ghost.variants", "§3.3", _check_ghost_forms),
+    ("ghost.variants", "§3.3", _seed_free(_check_ghost_forms)),
     ("positivity.windows", "§4", _check_positivity_windows),
     ("positivity.square-pieces", "§4", _check_positivity_pieces),
     ("sm.embedding", "Eq. (Alicoeff)", _over_draws(10, 1e-9, _sm_embedding)),
-    ("dynamics.rk4", "Eq. (1flow)", _check_rk4),
-    ("dynamics.conservation", "§2.3", _check_conservation),
-    ("dynamics.degenerate-growth", "Eq. (soldeg)", _check_degenerate_growth),
+    ("dynamics.rk4", "Eq. (1flow)", _seed_free(_check_rk4)),
+    ("dynamics.conservation", "§2.3", _seed_free(_check_conservation)),
+    ("dynamics.degenerate-growth", "Eq. (soldeg)", _seed_free(_check_degenerate_growth)),
     ("interaction.unique-tensor", "§4.1", _check_interaction_unique),
-    ("interaction.two-route", "§4.1", _check_two_route),
+    ("interaction.two-route", "§4.1", _seed_free(_check_two_route)),
     ("discovery.structures", "§2.2", _over_draws(10, 1e-9, _discovery)),
 ]
 
