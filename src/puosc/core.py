@@ -30,11 +30,9 @@ of ``hierarchy.coefficients_on_h1h2``, ``symmetry.standard_basis``, and in
 ``verify`` the reference orbit of its two RK4 checks and the omega = (2, 1)
 stand-in for degenerate parameters.  The first call stores its result in the
 instance's ``__dict__`` and later calls return that same object, so every
-array it hands out is read-only.  The memo lives and dies with its instance,
-and equal but distinct parameters (alpha = 0.0 and alpha = -0.0) keep their
-own signed zeros.  The one process-wide store is ``verify``'s table of
-seed-free check results: a few scalars per check and parameter point, keyed
-by the exact bits of the fields, with a fixed bound on its entries.  A memoized
+array it hands out is read-only.  The memo lives and dies with its instance:
+there is no global cache to size or clear, and equal but distinct parameters
+(alpha = 0.0 and alpha = -0.0) keep their own signed zeros.  A memoized
 value must not hold its ``PuParams``, not even through a field or a solution
 object: the instance would reach itself through its own memo, and only the
 cyclic garbage collector would free it.  The memo is not part of the value:

@@ -8,7 +8,10 @@ right-hand side ``rhs(x0, x1, x2, x3) -> (f0, f1, f2, f3)``.  Numpy
 4-vectors and a 4x4 matvec per stage cost about ten times as much per step
 in interpreter overhead.  The float loop does the same IEEE operations in
 the same order (the matvec's zero products drop out exactly), so its
-trajectories are bit-identical to the vector form's.
+trajectories are bit-identical to the vector form's.  ``LinearField`` has
+its own copy of the loop with the right-hand side written out, which
+checks finiteness once per chunk of steps instead of once per step; the
+same operations again, so the same bits.
 """
 from __future__ import annotations
 
@@ -133,11 +136,15 @@ class PotentialField(LinearField):
     def __init__(self, p: PuParams, pot: Potential):
         super().__init__(p)
         self.pot = pot
-        self._on_q = pot.kind == "on_q"
-
-    def rhs(self, x0: float, x1: float, x2: float, x3: float) -> tuple[float, float, float, float]:
-        dv = self.pot.derivative(x0 if self._on_q else x2)
-        return x1, x2, x3, self._m30 * x0 + self._m32 * x2 + dv
+        # a closure over locals: the RK4 loop calls it four times a step
+        m30, m32, dv = self._m30, self._m32, pot.derivative
+        if pot.kind == "on_q":
+            def rhs(x0, x1, x2, x3):
+                return x1, x2, x3, m30 * x0 + m32 * x2 + dv(x0)
+        else:
+            def rhs(x0, x1, x2, x3):
+                return x1, x2, x3, m30 * x0 + m32 * x2 + dv(x2)
+        self.rhs = rhs
 
 
 @dataclass(frozen=True)
@@ -149,29 +156,32 @@ class Trajectory:
         return PhaseState.from_array(self.states[-1])
 
 
-_CHUNK = 1024  # rows buffered between writes into the state array
+_CHUNK = 1024  # steps buffered between writes into the state array
 
 
-def _diverged(i: int, h: float, states: np.ndarray, start: int, rows: list) -> DivergenceError:
-    """The error for a non-finite step i, carrying the finite states 0..i:
-    the buffered rows since ``start`` are flushed into ``states`` first."""
-    if rows:
-        states[start + 1:i + 1] = rows
+def _diverged(i: int, h: float, states: np.ndarray) -> DivergenceError:
+    """The error for a non-finite step i, carrying the finite states 0..i,
+    which the caller has written into ``states``."""
     return DivergenceError(f"integration diverged at t = {(i + 1) * h:.6g}",
                            t_reached=(i + 1) * h, states=states[:i + 1])
+
+
+def _start(v0, n_steps: int):
+    """The state array with v0 in row 0, its flat view, and v0 as floats."""
+    states = np.empty((n_steps + 1, 4))
+    states[0] = v0
+    # A numpy matvec never returns -0.0, so the vector form stepped a -0.0
+    # entry of the initial state as +0.0; adding 0.0 does the same here.
+    return states, states.reshape(-1), (float(x) + 0.0 for x in v0)
 
 
 def _rk4(rhs, v0, h: float, n_steps: int) -> np.ndarray:
     """Classical RK4 on four floats; ``rhs(x0, x1, x2, x3)`` returns the
     four derivatives.  Returns the (n_steps + 1, 4) array of states; a
     non-finite step raises DivergenceError carrying the states before it."""
-    states = np.empty((n_steps + 1, 4))
-    states[0] = v0
-    # A numpy matvec never returns -0.0, so the vector form stepped a -0.0
-    # entry of the initial state as +0.0; adding 0.0 does the same here.
-    w0, w1, w2, w3 = (float(x) + 0.0 for x in v0)
+    states, flat, (w0, w1, w2, w3) = _start(v0, n_steps)
     hh, h6 = 0.5 * h, h / 6.0
-    rows = []
+    rows = []  # the chunk's states, four floats each
     for start in range(0, n_steps, _CHUNK):
         stop = min(start + _CHUNK, n_steps)
         for i in range(start, stop):
@@ -182,7 +192,8 @@ def _rk4(rhs, v0, h: float, n_steps: int) -> np.ndarray:
                 d0, d1, d2, d3 = rhs(w0 + h * c0, w1 + h * c1, w2 + h * c2, w3 + h * c3)
             except OverflowError:
                 # float ** n raises where numpy's float64 returned inf
-                raise _diverged(i, h, states, start, rows) from None
+                flat[4 * start + 4:4 * i + 4] = rows
+                raise _diverged(i, h, states) from None
             w0 = w0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
             w1 = w1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
             w2 = w2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
@@ -190,10 +201,45 @@ def _rk4(rhs, v0, h: float, n_steps: int) -> np.ndarray:
             # x - x is 0.0 for finite x and nan for inf or nan: an exact
             # finiteness test that cannot overflow
             if (w0 - w0) + (w1 - w1) + (w2 - w2) + (w3 - w3) != 0.0:
-                raise _diverged(i, h, states, start, rows)
-            rows.append((w0, w1, w2, w3))
-        states[start + 1:stop + 1] = rows
+                flat[4 * start + 4:4 * i + 4] = rows
+                raise _diverged(i, h, states)
+            rows += w0, w1, w2, w3
+        flat[4 * start + 4:4 * stop + 4] = rows
         rows.clear()
+    return states
+
+
+def _rk4_linear(m30: float, m32: float, v0, h: float, n_steps: int) -> np.ndarray:
+    """``_rk4`` for ``LinearField``, whose derivative of (x0, x1, x2, x3) is
+    (x1, x2, x3, m30 * x0 + m32 * x2).  Stage k's derivative is the next
+    stage's input shifted by one, so u, y and z below are the inputs of
+    stages 2-4 and their first three entries the derivatives of stages 1-3.
+    Float arithmetic cannot raise here, so a chunk runs to its end and a
+    non-finite state is found in the written rows: the same first one the
+    per-step test finds, since earlier rows are finite."""
+    states, flat, (w0, w1, w2, w3) = _start(v0, n_steps)
+    hh, h6 = 0.5 * h, h / 6.0
+    rows = []
+    for start in range(0, n_steps, _CHUNK):
+        stop = min(start + _CHUNK, n_steps)
+        for _ in range(start, stop):
+            a3 = m30 * w0 + m32 * w2
+            u0, u1, u2, u3 = w0 + hh * w1, w1 + hh * w2, w2 + hh * w3, w3 + hh * a3
+            b3 = m30 * u0 + m32 * u2
+            y0, y1, y2, y3 = w0 + hh * u1, w1 + hh * u2, w2 + hh * u3, w3 + hh * b3
+            c3 = m30 * y0 + m32 * y2
+            z0, z1, z2, z3 = w0 + h * y1, w1 + h * y2, w2 + h * y3, w3 + h * c3
+            d3 = m30 * z0 + m32 * z2
+            w0 = w0 + h6 * (w1 + 2.0 * u1 + 2.0 * y1 + z1)
+            w1 = w1 + h6 * (w2 + 2.0 * u2 + 2.0 * y2 + z2)
+            w2 = w2 + h6 * (w3 + 2.0 * u3 + 2.0 * y3 + z3)
+            w3 = w3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+            rows += w0, w1, w2, w3
+        flat[4 * start + 4:4 * stop + 4] = rows
+        rows.clear()
+        finite = np.isfinite(states[start + 1:stop + 1]).all(axis=1)
+        if not finite.all():
+            raise _diverged(start + int(np.argmin(finite)), h, states)
     return states
 
 
@@ -204,7 +250,10 @@ def integrate(field, v0: PhaseState, h: float, t_end: float) -> Trajectory:
     if not h <= t_end < math.inf:
         raise InvalidInputError("t_end must be finite and at least one step")
     n_steps = int(round(t_end / h))
-    states = _rk4(field.rhs, v0.as_array(), h, n_steps)
+    if type(field) is LinearField:
+        states = _rk4_linear(field._m30, field._m32, v0.as_array(), h, n_steps)
+    else:
+        states = _rk4(field.rhs, v0.as_array(), h, n_steps)
     times = np.arange(n_steps + 1) * h
     return Trajectory(times=times, states=states)
 

@@ -3,16 +3,14 @@
 Each check exercises one structural identity at randomized parameters and
 reports (pass, residual, samples).  Most are ``_over_draws`` rows of the
 ``CHECKS`` table: n draws of a measure, passing when the worst value is
-within the row's bound.  The five checks that draw nothing are
-``_seed_free`` rows, run once per parameter point in a process.  The
-report also carries the resolved-typo ledger: wherever two printed
-readings of a formula disagreed, the entry records which reading survived
-the numerical ground truth.
+within the row's bound.  The report also carries the resolved-typo
+ledger: wherever two printed readings of a formula disagreed, the entry
+records which reading survived the numerical ground truth.
 """
 from __future__ import annotations
 
 import math
-from functools import partial, wraps
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -146,34 +144,6 @@ def _over_draws(n: int, bound: float, *measures) -> Callable:
         worst = _worst(rng, n, *measures)
         return worst <= bound, worst, n * len(measures)
     return check
-
-
-_SEED_FREE: dict = {}  # (check, repr(p), repr(tol)) -> (pass, residual, samples)
-_SEED_FREE_SIZE = 1024  # entries; the oldest goes first
-
-
-def _seed_free(check) -> Callable:
-    """The check, run once per exact (p, tol) in this process.
-
-    Only for checks that draw nothing from rng, whose result is a function
-    of p and tol alone.  The key holds repr(p), which writes the exact bits
-    of every field (alpha = 0.0 and -0.0 differ), and repr(tol); an entry
-    holds three Python scalars, never an array or the params.  The check
-    runs with the caller's own p, so a cold report still shares the params'
-    memo.  A call that raises stores nothing.
-    """
-    @wraps(check)
-    def wrapper(p, rng, tol):
-        key = (check, repr(p), repr(tol))
-        result = _SEED_FREE.get(key)
-        if result is None:
-            passed, residual, samples = check(p, rng, tol)
-            result = bool(passed), float(residual), int(samples)
-            if len(_SEED_FREE) >= _SEED_FREE_SIZE:
-                del _SEED_FREE[next(iter(_SEED_FREE))]
-            _SEED_FREE[key] = result
-        return result
-    return wrapper
 
 
 def _span_residual(span, target) -> float:
@@ -676,11 +646,11 @@ def _check_interaction_unique(p, rng, tol):
         if len(rep.compatible) != 1 or rep.compatible_ray != want:
             ok = False
             continue
-        others = [rep.residuals[k] / rep.scale for k in range(len(rep.angles))
-                  if k not in rep.compatible]
-        worst_floor = min(worst_floor, min(others))
-        if min(others) < 1e-3:
-            ok = False
+        # np.min keeps a nan that min() drops
+        floor = float(np.min([rep.residuals[k] / rep.scale for k in range(len(rep.angles))
+                              if k not in rep.compatible]))
+        worst_floor = float(np.min([worst_floor, floor]))
+        ok = ok and floor >= 1e-3
     return ok, worst_floor, 64
 
 
@@ -725,15 +695,15 @@ CHECKS: list[tuple[str, str, Callable]] = [
     ("catalog.flow-tensor", "Eq. (Jflow)", _check_flow_tensor),
     ("catalog.tensor-reductions", "Eq. (J2)", _check_tensor_reductions),
     ("catalog.pushforward-brackets", "Eqs. (nanvP1)–(nanvP2)", _over_draws(50, 1e-9, _pushforward)),
-    ("ghost.variants", "§3.3", _seed_free(_check_ghost_forms)),
+    ("ghost.variants", "§3.3", _check_ghost_forms),
     ("positivity.windows", "§4", _check_positivity_windows),
     ("positivity.square-pieces", "§4", _check_positivity_pieces),
     ("sm.embedding", "Eq. (Alicoeff)", _over_draws(10, 1e-9, _sm_embedding)),
-    ("dynamics.rk4", "Eq. (1flow)", _seed_free(_check_rk4)),
-    ("dynamics.conservation", "§2.3", _seed_free(_check_conservation)),
-    ("dynamics.degenerate-growth", "Eq. (soldeg)", _seed_free(_check_degenerate_growth)),
+    ("dynamics.rk4", "Eq. (1flow)", _check_rk4),
+    ("dynamics.conservation", "§2.3", _check_conservation),
+    ("dynamics.degenerate-growth", "Eq. (soldeg)", _check_degenerate_growth),
     ("interaction.unique-tensor", "§4.1", _check_interaction_unique),
-    ("interaction.two-route", "§4.1", _seed_free(_check_two_route)),
+    ("interaction.two-route", "§4.1", _check_two_route),
     ("discovery.structures", "§2.2", _over_draws(10, 1e-9, _discovery)),
 ]
 

@@ -6,7 +6,7 @@ import pytest
 
 from puosc.core import (PhaseState, PuParams, QuadHamiltonian, companion_field,
                         flow_residual, hamiltonian_h1, poisson_j1, poisson_j2)
-from puosc.dynamics import (ClassicalSolution, LinearField,
+from puosc.dynamics import (ClassicalSolution, LinearField, _rk4,
                             Potential, PotentialField, Trajectory, charge_values,
                             conservation_report, cosine_potential,
                             cubic_potential, eval_solution,
@@ -188,6 +188,20 @@ class TestScalarLoop:
         traj = integrate(field, v0, 0.01, n_steps * 0.01)
         assert traj.states.shape == (n_steps + 1, 4)
         assert np.array_equal(traj.states, want)
+
+    @pytest.mark.parametrize("h", [1.0, 0.05], ids=["first-chunk", "later-chunk"])
+    def test_linear_loop_diverges_where_the_generic_loop_does(self, h):
+        # the linear loop tests finiteness once per chunk, the generic loop
+        # once per step
+        p = PuParams(0.0, -1.0)  # real exponential branch
+        v0 = PhaseState(1, 1, 1, 1)
+        with pytest.raises(DivergenceError) as generic:
+            _rk4(LinearField(p).rhs, v0.as_array(), h, round(800.0 / h))
+        with pytest.raises(DivergenceError) as linear:
+            integrate(LinearField(p), v0, h, 800.0)
+        assert (len(linear.value.states) < 1024) == (h == 1.0)
+        assert linear.value.t_reached == generic.value.t_reached
+        assert linear.value.states.tobytes() == generic.value.states.tobytes()
 
     def test_signed_zeros_step_like_the_matvec(self):
         # a matvec never returns -0.0; at alpha < 0 a -0.0 initial entry

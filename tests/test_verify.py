@@ -1,8 +1,7 @@
-"""The draw loop behind the verify registry, its store of seed-free
-results, and the report bytes they yield."""
+"""The draw loop behind the verify registry, the nan-keeping maxima of
+its checks, and the report bytes they yield."""
 import hashlib
 import itertools
-import json
 import math
 import os
 import platform
@@ -14,7 +13,6 @@ import pytest
 from conftest import PKG_ROOT, run_cli
 from puosc import dynamics, hierarchy, transform, verify
 from puosc.core import PuParams
-from puosc.errors import PuError
 from puosc.verify import _over_draws, _worst
 
 
@@ -77,37 +75,18 @@ def _manifest():
                     for digest, name, code in (line.split() for line in lines)}
 
 
-def _counting_integrate(monkeypatch):
-    """Patch dynamics.integrate to record the steps of each call; returns
-    that list."""
-    steps, real = [], dynamics.integrate
-
-    def integrate(field, v0, h, t_end):
-        traj = real(field, v0, h, t_end)
-        steps.append(len(traj.times) - 1)
-        return traj
-    monkeypatch.setattr(dynamics, "integrate", integrate)
-    return steps
-
-
 @pytest.mark.parametrize("seed, code", [(5, 0), (3, 1)])
-def test_verify_bytes_match_the_snapshot_manifest(seed, code, tmp_path, monkeypatch):
+def test_verify_bytes_match_the_snapshot_manifest(seed, code, tmp_path):
     """A slip in the order of verify's draws moves these bytes, though two
-    runs of one build still agree with each other.  Each seed runs cold, on
-    an empty store of seed-free results, then warm, from that store."""
+    runs of one build still agree with each other."""
     header, digests = _manifest()
     running = f"# python {platform.python_version()} numpy {np.__version__}"
     if header != running:
         pytest.skip(f"manifest written under '{header[2:]}', running '{running[2:]}'")
-    monkeypatch.setattr(verify, "_SEED_FREE", {})
-    for run in ("cold", "warm"):
-        steps = _counting_integrate(monkeypatch)
-        out = tmp_path / f"{run}.json"
-        r = run_cli("verify", "--omega1", "2", "--omega2", "1", "--seed", str(seed),
-                    "--out", str(out))
-        assert r.returncode == code
-        assert (hashlib.sha256(out.read_bytes()).hexdigest(), code) == digests[f"verify-{seed}.json"]
-        assert bool(steps) == (run == "cold")
+    out = tmp_path / "report.json"
+    r = run_cli("verify", "--omega1", "2", "--omega2", "1", "--seed", str(seed), "--out", str(out))
+    assert r.returncode == code
+    assert (hashlib.sha256(out.read_bytes()).hexdigest(), code) == digests[f"verify-{seed}.json"]
 
 
 def _nan_on_call(monkeypatch, owner, name, call, nan=math.nan):
@@ -166,93 +145,14 @@ class TestNanFails:
         self.assert_fails_on_nan(
             {check_id: fn for check_id, _, fn in verify.CHECKS}["hierarchy.involution"])
 
+    def test_interaction_separation(self, monkeypatch):
+        real = dynamics.interaction_compatibility
 
-_SEED_FREE_CODE = verify._seed_free(lambda p, rng, tol: None).__code__
-
-
-def test_seed_free_rows_are_exactly_the_checks_that_draw_nothing():
-    p = PuParams.from_frequencies(2.0, 1.0)
-    for check_id, _, fn in verify.CHECKS:
-        seed_free = getattr(fn, "__code__", None) is _SEED_FREE_CODE
-        rng = np.random.default_rng(7)
-        before = rng.bit_generator.state
-        # the wrapped check itself, since a stored result draws nothing either way
-        (fn.__wrapped__ if seed_free else fn)(p, rng, 1e-9)
-        assert (rng.bit_generator.state == before) == seed_free, check_id
-
-
-@pytest.fixture(scope="module")
-def cold_then_warm():
-    """(report JSON, steps of each dynamics.integrate call) of a cold and
-    then a warm ``run_verification`` at omega = (2, 1), seed 11, each on new
-    params, and the store the two runs filled."""
-    store, runs = {}, []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_SEED_FREE", store)
-        for _ in range(2):
-            steps = _counting_integrate(mp)
-            report = verify.run_verification(PuParams.from_frequencies(2.0, 1.0), 11)
-            runs.append((json.dumps(report), steps))
-    return runs, store
-
-
-class TestSeedFree:
-    def test_warm_report_equals_the_cold_one(self, cold_then_warm):
-        (cold, _), (warm, _) = cold_then_warm[0]
-        assert warm == cold
-
-    def test_warm_report_integrates_nothing(self, cold_then_warm):
-        (_, cold), (_, warm) = cold_then_warm[0]
-        # reference orbit, two order-test orbits, quartic orbit, two-route
-        assert sorted(cold) == [500, 1000, 5000, 20000, 50000] and sum(cold) == 76_500
-        assert warm == []
-
-    def test_store_holds_scalars_only(self, cold_then_warm):
-        store = cold_then_warm[1]
-        assert len(store) == 5
-        for (check, params, tol), result in store.items():
-            assert (type(params), type(tol)) == (str, str)
-            assert [type(x) for x in result] == [bool, float, int]
-
-    def test_exact_bits_of_every_field_and_tol_key_the_store(self, monkeypatch):
-        monkeypatch.setattr(verify, "_SEED_FREE", {})
-        calls = []
-
-        def check(p, rng, tol):
-            calls.append(p)
-            return True, math.copysign(1.0, p.alpha), 1
-        wrapped = verify._seed_free(check)
-        points = [lambda: PuParams(0.0, 4.0), lambda: PuParams(-0.0, 4.0),
-                  lambda: PuParams(0.0, 4.0, deg_tol=1e-6), lambda: PuParams(5.0, 4.0),
-                  lambda: PuParams.from_frequencies(2.0, 1.0)]
-        for _ in range(2):  # the second round on equal, new instances
-            assert [wrapped(make(), None, 1e-9)[1] for make in points] == [1, -1, 1, 1, 1]
-        assert len(calls) == len(points)
-        wrapped(points[0](), None, 1e-8)
-        assert len(calls) == len(points) + 1
-
-    def test_a_call_that_raises_stores_nothing(self, monkeypatch):
-        store = {}
-        monkeypatch.setattr(verify, "_SEED_FREE", store)
-        outcomes = iter([PuError("first call"), (True, 0.5, 2)])
-
-        def check(p, rng, tol):
-            outcome = next(outcomes)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
-        wrapped = verify._seed_free(check)
-        with pytest.raises(PuError):
-            wrapped(PuParams(5.0, 4.0), None, 1e-9)
-        assert store == {}
-        for _ in range(2):  # a third call of check would raise StopIteration
-            assert wrapped(PuParams(5.0, 4.0), None, 1e-9) == (True, 0.5, 2)
-
-    def test_store_drops_its_oldest_entry_when_full(self, monkeypatch):
-        store = {}
-        monkeypatch.setattr(verify, "_SEED_FREE", store)
-        wrapped = verify._seed_free(lambda p, rng, tol: (True, p.deg_tol, 1))
-        tols = [1e-8 * (k + 1) for k in range(verify._SEED_FREE_SIZE + 3)]
-        for deg_tol in tols:
-            wrapped(PuParams(5.0, 4.0, deg_tol=deg_tol), None, 1e-9)
-        assert sorted(residual for _, residual, _ in store.values()) == tols[3:]
+        def compatibility(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            residuals = rep.residuals.copy()
+            residuals[min(set(range(len(residuals))) - set(rep.compatible))] = math.nan
+            return dynamics.CompatibilityReport(rep.angles, residuals, rep.scale,
+                                                rep.compatible, rep.compatible_ray)
+        monkeypatch.setattr(dynamics, "interaction_compatibility", compatibility)
+        self.assert_fails_on_nan(verify._check_interaction_unique)

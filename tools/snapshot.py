@@ -19,9 +19,8 @@ check that the outputs match it, run
 
     python3 tools/snapshot.py /tmp/s | diff tools/snapshot.sha256 -
 
-(17 s on a 2-core 2.1 GHz Xeon with Python 3.11 and numpy 2.4; the 40
-reports run in one process, so 39 of them reuse the results of the five
-seed-free verify checks).  A change that moves outputs on purpose commits the new
+(21 s on a 2-core 2.1 GHz Xeon shared with other jobs, Python 3.11 and
+numpy 2.4).  A change that moves outputs on purpose commits the new
 manifest, so its diff names exactly the files that moved.
 """
 import contextlib
