@@ -23,6 +23,13 @@ W^T S W (pullbacks, Lie derivatives, basis changes) stay on the public path:
 BLAS may round their two triangles differently, so the asymmetry test means
 something there.
 
+Among the exact-path builders, ``combined_form(p, c3, c4)`` builds
+c3 H1 + c4 H2 as one form instead of three.  Its bits are those of
+``c3 * H1 + c4 * H2``: scaling an exactly symmetric array keeps it exactly
+symmetric, so the two scaled forms of that sum store their arrays unchanged.
+Only where a scaled term alone overflows when doubled (an entry beyond half
+the largest float) did the three builds raise while one build may not.
+
 The structures that depend on (alpha, beta) alone are built once per
 ``PuParams`` instance: ``companion_field``, ``hamiltonian_h1``/``h2``,
 ``poisson_j1``/``j2``, ``hierarchy.recursion_operator``, the (H1, H2) basis
@@ -50,10 +57,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ParameterDomainError
-from .linalg import as_matrix, require_finite
+from .linalg import as_matrix, frobenius, require_finite
 
 DEFAULT_DEG_TOL = 1e-8
 _MEMO = "_memo"  # the key of a PuParams' memo dict in its __dict__
+_MISSING = object()  # a memo entry that is not there yet
 
 
 @dataclass(frozen=True)
@@ -122,11 +130,10 @@ def _memoized(fn):
     @functools.wraps(fn)
     def wrapper(p: PuParams):
         memo = vars(p).setdefault(_MEMO, {})
-        try:
-            return memo[fn]
-        except KeyError:
+        value = memo.get(fn, _MISSING)
+        if value is _MISSING:
             value = memo[fn] = fn(p)
-            return value
+        return value
     return wrapper
 
 
@@ -186,7 +193,7 @@ class QuadHamiltonian(_FrozenMatrix):
             a = s
         else:
             a = as_matrix(s, square=True)
-            if np.linalg.norm(a - a.T) > 1e-12 * (1.0 + np.linalg.norm(a)):
+            if frobenius(a - a.T) > 1e-12 * (1.0 + frobenius(a)):
                 raise InvalidInputError("Hamiltonian matrix is not symmetric")
         _store(self, 0.5 * (a + a.T))
 
@@ -231,7 +238,7 @@ class PoissonTensor(_FrozenMatrix):
             a = j
         else:
             a = as_matrix(j, square=True)
-            if np.linalg.norm(a + a.T) > 1e-12 * (1.0 + np.linalg.norm(a)):
+            if frobenius(a + a.T) > 1e-12 * (1.0 + frobenius(a)):
                 raise InvalidInputError("Poisson tensor is not antisymmetric")
         _store(self, 0.5 * (a - a.T))
 
@@ -313,10 +320,15 @@ def combined_tensor(p: PuParams, c1: float, c2: float) -> PoissonTensor:
     return PoissonTensor._exact(c1 * poisson_j1(p).matrix + c2 * poisson_j2(p).matrix)
 
 
+def combined_form(p: PuParams, c3: float, c4: float) -> QuadHamiltonian:
+    """The form c3 H1 + c4 H2, built once (see the module docstring)."""
+    return QuadHamiltonian._exact(c3 * hamiltonian_h1(p).matrix + c4 * hamiltonian_h2(p).matrix)
+
+
 def flow_residual(j: PoissonTensor, h: QuadHamiltonian, p: PuParams) -> float:
     """||J S - M|| / (1 + ||M||): zero iff (J, H) generates the oscillator flow."""
     m = companion_field(p)
-    return float(np.linalg.norm(j.matrix @ h.matrix - m) / (1.0 + np.linalg.norm(m)))
+    return frobenius(j.matrix @ h.matrix - m) / (1.0 + frobenius(m))
 
 
 def quad_bracket(j: PoissonTensor, f: QuadHamiltonian, g: QuadHamiltonian) -> QuadHamiltonian:

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PoissonTensor, PuParams, QuadHamiltonian, _memoized,
-                   combined_tensor, hamiltonian_h1, hamiltonian_h2, poisson_j1,
-                   poisson_j2, quad_bracket)
+                   combined_form, combined_tensor, hamiltonian_h1, hamiltonian_h2,
+                   poisson_j1, poisson_j2, quad_bracket)
 from .errors import (DecompositionUndefinedError, DegenerateCombinationError,
                      InvalidInputError, ParameterDomainError,
                      RecursionBreakdownError)
-from .linalg import inverse
+from .linalg import frobenius, inverse
 from .symmetry import act_on_hamiltonian, standard_basis
 
 MAX_LADDER_DEPTH = 8
@@ -63,8 +63,8 @@ def next_charge(p: PuParams, h: QuadHamiltonian) -> QuadHamiltonian:
     is the integrability certificate, so an asymmetric result is an error,
     never silently repaired."""
     product = recursion_operator(p) @ h.matrix
-    asym = np.linalg.norm(product - product.T)
-    if asym > 1e-10 * (1.0 + np.linalg.norm(product)):
+    asym = frobenius(product - product.T)
+    if asym > 1e-10 * (1.0 + frobenius(product)):
         raise RecursionBreakdownError(f"recursion step asymmetric by {asym:.3e}")
     return QuadHamiltonian._exact(0.5 * (product + product.T))
 
@@ -95,8 +95,8 @@ def coefficients_on_h1h2(p: PuParams, h: QuadHamiltonian) -> tuple[float, float]
     basis = _h1h2_basis(p)
     target = h.matrix.ravel()
     coeff, _, _, _ = np.linalg.lstsq(basis, target, rcond=None)
-    residual = np.linalg.norm(basis @ coeff - target)
-    if residual > 1e-10 * (1.0 + np.linalg.norm(target)):
+    residual = frobenius(basis @ coeff - target)
+    if residual > 1e-10 * (1.0 + frobenius(target)):
         raise InvalidInputError(f"form is not in the (H1, H2) plane (residual {residual:.3e})")
     return float(coeff[0]), float(coeff[1])
 
@@ -126,7 +126,7 @@ def ladder_via_x3(p: PuParams, k: int) -> QuadHamiltonian:
         raise ParameterDomainError("closed-form ladder requires alpha != 0")
     c1 = p.beta * pu_polynomial(k - 1, p)
     c2 = (pu_polynomial(k + 1, p) + p.beta * pu_polynomial(k - 1, p)) / p.alpha
-    return c1 * hamiltonian_h1(p) + c2 * hamiltonian_h2(p)
+    return combined_form(p, c1, c2)
 
 
 def x3_action_ladder(p: PuParams, k: int) -> QuadHamiltonian:
@@ -169,8 +169,8 @@ def combine(p: PuParams, c1: float, c2: float) -> CombinedStructure:
             f"c2 = c1*omega_i^2 within tolerance (denominator {denom:.3e})")
     c3 = c1 * p.beta / denom
     c4 = c2 / denom
-    hbar = c3 * hamiltonian_h1(p) + c4 * hamiltonian_h2(p)
-    return CombinedStructure(c1, c2, c3, c4, combined_tensor(p, c1, c2), hbar)
+    return CombinedStructure(c1, c2, c3, c4, combined_tensor(p, c1, c2),
+                             combined_form(p, c3, c4))
 
 
 def _pd_squared_frequencies(p: PuParams) -> tuple[float, float]:
@@ -216,6 +216,6 @@ def involution_residual(p: PuParams, depth: int = 5) -> float:
     """Largest bracket norm among {H_i, H_j} under both tensors, i,j <= depth."""
     ladder = charge_ladder(p, depth).charges
     j1, j2 = poisson_j1(p), poisson_j2(p)
-    return float(np.max([np.linalg.norm(quad_bracket(tensor, ladder[i], ladder[j]).matrix)
+    return float(np.max([frobenius(quad_bracket(tensor, ladder[i], ladder[j]).matrix)
                          for i in range(depth) for j in range(depth) for tensor in (j1, j2)],
                         initial=0.0))

@@ -2,10 +2,21 @@
 
 Everything in the package runs through 4x4 (occasionally 16x16) matrices, so
 the kernels below favour transparency over asymptotics: SVD-based nullspaces,
-Gauss-Jordan inversion with an explicit pivot tolerance, and a fixed-order
-scaling-and-squaring matrix exponential.
+Gauss-Jordan inversion with an explicit pivot tolerance, a fixed-order
+scaling-and-squaring matrix exponential, and one Frobenius norm.
+
+At these sizes a numpy call costs more than its arithmetic, so ``inverse``
+steps Python floats row by row.  It performs the IEEE operations of the
+numpy-row elimination it replaced, in the same order, and so returns the same
+bits and raises the same errors.  Its pivot is the row that
+``np.argmax(np.abs(column))`` picks: the first largest magnitude, or the first
+nan when the column holds one (an overflow during elimination can make one).
+``frobenius`` is ``np.linalg.norm``'s arithmetic for a norm without ``ord``
+or ``axis``, without its argument handling.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,10 +53,10 @@ def nullspace(m, tol: float = 1e-12) -> list[np.ndarray]:
     which makes the returned span maximal under that residual bound.
     """
     a = as_matrix(m)
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise InvalidInputError(f"tol must be positive and finite, got {tol!r}")
     _, sigma, vt = np.linalg.svd(a)
-    thresh = tol * (1.0 + np.linalg.norm(a))
+    thresh = tol * (1.0 + frobenius(a))
     basis = [vt[i] for i in range(len(sigma)) if sigma[i] <= thresh]
     # svd(full) rows beyond min(m, n) span the coordinate deficit exactly
     basis.extend(vt[i] for i in range(len(sigma), vt.shape[0]))
@@ -56,23 +67,43 @@ def inverse(m) -> np.ndarray:
     """Invert a square matrix by Gauss-Jordan with partial pivoting.
 
     Raises SingularMatrixError when a pivot falls below
-    ``1e-12 * max(1, max|entry|)``.
+    ``1e-12 * max(1, max|entry|)``.  The pivot rule and the reason for
+    stepping Python floats are in the module docstring.
     """
     a = as_matrix(m, square=True)
     n = a.shape[0]
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(a), initial=0.0)))
-    work = np.hstack([a, np.eye(n)])
+    rows = a.tolist()
+    # the entries are finite, so this is np.max(np.abs(a), initial=0.0)
+    floor = 1e-12 * max(1.0, max([abs(x) for row in rows for x in row], default=0.0))
+    for i, row in enumerate(rows):
+        row += [0.0] * n
+        row[n + i] = 1.0
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
-        if abs(work[pivot_row, col]) < floor:
-            raise SingularMatrixError(f"pivot {work[pivot_row, col]:.3e} below tolerance in column {col}")
-        if pivot_row != col:
-            work[[col, pivot_row]] = work[[pivot_row, col]]
-        work[col] /= work[col, col]
+        pivot_row, best = col, -1.0
+        for r in range(col, n):
+            size = abs(rows[r][col])
+            if size != size:
+                pivot_row = r
+                break
+            if size > best:
+                pivot_row, best = r, size
+        pivot = rows[pivot_row][col]
+        if abs(pivot) < floor:
+            raise SingularMatrixError(f"pivot {pivot:.3e} below tolerance in column {col}")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        top = rows[col] = [x / pivot for x in rows[col]]
         for row in range(n):
-            if row != col and work[row, col] != 0.0:
-                work[row] -= work[row, col] * work[col]
-    return work[:, n:]
+            f = rows[row][col]
+            if row != col and f != 0.0:
+                rows[row] = [x - f * y for x, y in zip(rows[row], top)]
+    return np.array([row[n:] for row in rows], dtype=float).reshape(n, n)
+
+
+def frobenius(a: np.ndarray) -> float:
+    """The Frobenius norm of a float array of any shape, with the bits of
+    ``np.linalg.norm(a)``."""
+    x = a.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def expm(m) -> np.ndarray:
@@ -99,8 +130,8 @@ def leading_minors(m) -> list[float]:
     the criterion is meaningless there.
     """
     a = as_matrix(m, square=True)
-    scale = 1.0 + np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > 1e-10 * scale:
+    scale = 1.0 + frobenius(a)
+    if frobenius(a - a.T) > 1e-10 * scale:
         raise InvalidInputError("leading_minors requires a symmetric matrix")
     return [float(np.linalg.det(a[:k, :k])) for k in range(1, a.shape[0] + 1)]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
-                   canonical_tensor, combined_tensor, hamiltonian_h1, hamiltonian_h2)
+                   canonical_tensor, combined_form, combined_tensor)
 from .errors import (ComplexBranchError, ConstructionError,
                      DegenerateLegendreError, InvalidInputError,
                      NonInvertibleTransformError, SingularStructureError)
@@ -354,8 +354,8 @@ def transformed_form(kind: str, p: PuParams, *, g: float | None = None,
     """
     value = _unit_kinetic_value(kind, g, bx, "form", "unit-kinetic form")
     if kind == "Ta2":
-        return (2.0 * value - p.alpha) * hamiltonian_h1(p) - 2.0 * hamiltonian_h2(p)
-    return (value - p.alpha) * hamiltonian_h1(p) - hamiltonian_h2(p)
+        return combined_form(p, 2.0 * value - p.alpha, -2.0)
+    return combined_form(p, value - p.alpha, -1.0)
 
 
 def pd_decompose_transformed(kind: str, p: PuParams, *, g: float | None = None,

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import dynamics, hierarchy, linalg, symmetry, transform
 from .core import (PhaseState, PuParams, _memoized, canonical_tensor,
-                   combined_tensor, companion_field, flow_residual,
-                   hamiltonian_h1, hamiltonian_h2, ostrogradsky_hamiltonian,
-                   ostrogradsky_matrix, poisson_j1, poisson_j2)
+                   combined_form, combined_tensor, companion_field,
+                   flow_residual, hamiltonian_h1, hamiltonian_h2,
+                   ostrogradsky_hamiltonian, ostrogradsky_matrix, poisson_j1,
+                   poisson_j2)
 from .errors import PuError, SingularStructureError
 from .modes import d_dt, eval_terms
 
@@ -149,7 +150,7 @@ def _over_draws(n: int, bound: float, *measures) -> Callable:
 def _span_residual(span, target) -> float:
     """Relative least-squares distance of target from the column span."""
     coef, _, _, _ = np.linalg.lstsq(span, target, rcond=None)
-    return float(np.linalg.norm(span @ coef - target) / (1.0 + np.linalg.norm(target)))
+    return linalg.frobenius(span @ coef - target) / (1.0 + linalg.frobenius(target))
 
 
 def _kernels(rng):
@@ -176,7 +177,7 @@ def _check_commutant(p, rng, tol):
 
 def _commutators(rng):
     gens = symmetry.standard_basis(random_params(rng))
-    return [np.linalg.norm(symmetry.commutator(gi, gj).matrix) for gi in gens for gj in gens]
+    return [linalg.frobenius(symmetry.commutator(gi, gj).matrix) for gi in gens for gj in gens]
 
 
 def _flow_pairs(rng):
@@ -217,8 +218,8 @@ def _ladder_routes(rng):
     for k in range(1, 7):
         a = hierarchy.ladder_via_x3(pp, k)
         b = hierarchy.x3_action_ladder(pp, k)
-        scale = 1.0 + np.linalg.norm(ladder[k].matrix)
-        values += [np.linalg.norm(route.matrix - ladder[k].matrix) / scale for route in (a, b)]
+        scale = 1.0 + linalg.frobenius(ladder[k].matrix)
+        values += [linalg.frobenius(route.matrix - ladder[k].matrix) / scale for route in (a, b)]
     return values
 
 
@@ -226,8 +227,8 @@ def _x4_pair(rng):
     pp = random_params(rng)
     hb1, hb2 = hierarchy.x4_pair(pp)
     a4 = symmetry.standard_basis(pp)[3].matrix
-    return (np.linalg.norm(poisson_j1(pp).matrix @ hb1.matrix - a4),
-            np.linalg.norm(poisson_j2(pp).matrix @ hb2.matrix - a4))
+    return (linalg.frobenius(poisson_j1(pp).matrix @ hb1.matrix - a4),
+            linalg.frobenius(poisson_j2(pp).matrix @ hb2.matrix - a4))
 
 
 def _combined_flow(rng):
@@ -287,7 +288,7 @@ def _pd_decomposition(rng):
     except PuError:
         return None
     total = dec.h12.matrix + dec.h21.matrix
-    return (np.linalg.norm(total - cs.hbar.matrix) / (1.0 + np.linalg.norm(cs.hbar.matrix)),)
+    return (linalg.frobenius(total - cs.hbar.matrix) / (1.0 + linalg.frobenius(cs.hbar.matrix)),)
 
 
 def _closed_form_flows(regime, rng):
@@ -383,8 +384,8 @@ def _check_flow_tensor(p, rng, tol):
             return False, math.inf, n
         except PuError:
             continue
-        hbar = c3 * hamiltonian_h1(pp) + c4 * hamiltonian_h2(pp)
-        values += [flow_residual(jt, hbar, pp), transform.canonical_bracket_residual(spec, pp)]
+        values += [flow_residual(jt, combined_form(pp, c3, c4), pp),
+                   transform.canonical_bracket_residual(spec, pp)]
         n += 1
     # exclusions must trip for Ta1 and Tb2
     tripped = 0
@@ -567,7 +568,7 @@ def _sm_embedding(rng):
     except PuError:
         return None
     c3, c4 = transform.pullback_hamiltonian(emb.spec, pp)
-    hq = c3 * hamiltonian_h1(pp) + c4 * hamiltonian_h2(pp)
+    hq = combined_form(pp, c3, c4)
     values = []
     for _ in range(20):
         v = PhaseState(*rng.uniform(-1.0, 1.0, 4))

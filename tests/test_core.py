@@ -7,14 +7,16 @@ import weakref
 import numpy as np
 import pytest
 from conftest import arrays_of, assert_memoized
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puosc import core, dynamics, hierarchy, symmetry, transform, verify
 from puosc.core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
-                        canonical_tensor, companion_field, flow_residual,
+                        canonical_tensor, combined_form, companion_field, flow_residual,
                         hamiltonian_h1, hamiltonian_h2, ostrogradsky_hamiltonian,
                         ostrogradsky_matrix, poisson_j1, poisson_j2,
                         quad_bracket)
-from puosc.errors import InvalidInputError, ParameterDomainError
+from puosc.errors import InvalidInputError, ParameterDomainError, PuError
 from puosc.hierarchy import _square_piece, charge_ladder, combine, recursion_operator
 from puosc.linalg import expm, inverse
 from puosc.symmetry import standard_basis
@@ -259,6 +261,98 @@ class TestExactConstruction:
         # 1 / 1e-320 overflows to inf
         with pytest.raises(InvalidInputError, match="non-finite"):
             poisson_j2(PuParams(5.0, 1e-320))
+
+
+def _three_builds(p, c3, c4):
+    """c3 H1 + c4 H2 as the library built it before ``combined_form``."""
+    return c3 * hamiltonian_h1(p) + c4 * hamiltonian_h2(p)
+
+
+# signed zeros in alpha and beta reach the stored H1 and H2
+_COMBINED_POINTS = [PuParams(5.0, 4.0), PuParams(-0.0, 4.0), PuParams(0.0, -0.0),
+                    PuParams.from_frequencies(1.7, 0.6)]
+# negative coefficients turn the zero entries of H1 and H2 into -0.0
+_COEFFICIENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.0, 0.5]),
+                          st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300))
+
+
+def _count_builds(monkeypatch):
+    """A list that grows by one for every QuadHamiltonian built from now on."""
+    builds = []
+    init = QuadHamiltonian.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(None)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(QuadHamiltonian, "__init__", counting)
+    return builds
+
+
+class TestCombinedForm:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(_COMBINED_POINTS), _COEFFICIENTS, _COEFFICIENTS)
+    def test_same_bits_as_three_builds(self, p, c3, c4):
+        fast = combined_form(p, c3, c4)
+        assert fast.matrix.tobytes() == _three_builds(p, c3, c4).matrix.tobytes()
+        assert not fast.matrix.flags.writeable
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.sampled_from(_COMBINED_POINTS[::3]), _COEFFICIENTS, _COEFFICIENTS)
+    def test_combine_and_closed_form_ladder(self, p, c1, c2):
+        try:
+            cs = combine(p, c1, c2)
+        except PuError:
+            cs = None
+        if cs is not None:
+            assert cs.hbar.matrix.tobytes() == _three_builds(p, cs.c3, cs.c4).matrix.tobytes()
+        k = 1 + int(abs(c1)) % 6
+        c1k = p.beta * hierarchy.pu_polynomial(k - 1, p)
+        c2k = (hierarchy.pu_polynomial(k + 1, p) + p.beta * hierarchy.pu_polynomial(k - 1, p)) / p.alpha
+        assert (hierarchy.ladder_via_x3(p, k).matrix.tobytes()
+                == _three_builds(p, c1k, c2k).matrix.tobytes())
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.sampled_from(_COMBINED_POINTS),
+           st.one_of(st.sampled_from([0.0, -0.0, 2.5, 5.0]), st.floats(-1e3, 1e3)))
+    def test_transformed_form(self, p, value):
+        # x - 2y is x + (-2)y in IEEE arithmetic, signed zeros included;
+        # value = alpha / 2 and value = alpha make the H1 coefficient 0.0
+        h1, h2 = hamiltonian_h1(p), hamiltonian_h2(p)
+        ta2 = (2.0 * value - p.alpha) * h1 - 2.0 * h2
+        tb1 = (value - p.alpha) * h1 - h2
+        assert transform.transformed_form("Ta2", p, g=value).matrix.tobytes() == ta2.matrix.tobytes()
+        assert transform.transformed_form("Tb1", p, bx=value).matrix.tobytes() == tb1.matrix.tobytes()
+
+    @pytest.mark.parametrize("measure", [
+        lambda rng: verify._check_flow_tensor(None, rng, 1e-9),
+        lambda rng: [verify._sm_embedding(rng) for _ in range(10)],
+    ], ids=["flow-tensor", "sm-embedding"])
+    def test_verify_sites(self, measure, monkeypatch):
+        # the check's output, and each form it builds, as with three builds
+        fast = measure(np.random.default_rng(15))
+        built = []
+
+        def three_builds_checked(p, c3, c4):
+            form = _three_builds(p, c3, c4)
+            assert combined_form(p, c3, c4).matrix.tobytes() == form.matrix.tobytes()
+            built.append(form)
+            return form
+        monkeypatch.setattr(verify, "combined_form", three_builds_checked)
+        assert repr(measure(np.random.default_rng(15))) == repr(fast)
+        assert built
+
+    @pytest.mark.parametrize("build", [
+        lambda p: combine(p, 1.0, 0.3),
+        lambda p: hierarchy.ladder_via_x3(p, 3),
+        lambda p: transform.transformed_form("Tb1", p, bx=1.0),
+        lambda p: combined_form(p, -1.0, 2.0),
+    ], ids=["combine", "ladder_via_x3", "transformed_form", "combined_form"])
+    def test_one_build_once_h1_h2_are_memoized(self, build, monkeypatch):
+        p = PuParams.from_frequencies(2.0, 1.0)
+        hamiltonian_h1(p), hamiltonian_h2(p)
+        builds = _count_builds(monkeypatch)
+        build(p)
+        assert len(builds) == 1
 
 
 _CORE_MEMOIZED = [companion_field, hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2]

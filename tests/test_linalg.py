@@ -1,14 +1,20 @@
+import ast
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import puosc
 from puosc.core import PuParams, companion_field, hamiltonian_h1, poisson_j1
+from puosc.dynamics import structure_discovery
 from puosc.errors import InvalidInputError, SingularMatrixError
-from puosc.linalg import expm, inverse, leading_minors, nullspace
+from puosc.linalg import as_matrix, expm, frobenius, inverse, leading_minors, nullspace
+from puosc.symmetry import solve_symmetries
 
 
 def brute_det(m):
@@ -67,6 +73,17 @@ class TestNullspace:
         with pytest.raises(InvalidInputError):
             nullspace(np.eye(2), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12, -0.0])
+    @pytest.mark.parametrize("entry", [
+        lambda tol: nullspace(np.eye(2), tol=tol),
+        lambda tol: solve_symmetries(PuParams(5.0, 4.0), tol=tol),
+        lambda tol: structure_discovery(PuParams(5.0, 4.0), tol=tol),
+    ], ids=["nullspace", "solve_symmetries", "structure_discovery"])
+    def test_rejects_tol_outside_open_positive_range(self, entry, tol):
+        # nan used to find no kernel at all, inf made everything kernel
+        with pytest.raises(InvalidInputError, match="tol must be positive and finite"):
+            entry(tol)
+
 
 class TestInverse:
     def test_identity(self):
@@ -89,6 +106,113 @@ class TestInverse:
             except SingularMatrixError:
                 continue
             assert np.max(np.abs(a @ inv - np.eye(n))) < 1e-10
+
+
+def _numpy_row_inverse(m):
+    """Gauss-Jordan on numpy rows, the form ``inverse`` took before it
+    stepped Python floats; its bits and errors are the reference."""
+    a = as_matrix(m, square=True)
+    n = a.shape[0]
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    work = np.hstack([a, np.eye(n)])
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
+        if abs(work[pivot_row, col]) < floor:
+            raise SingularMatrixError(f"pivot {work[pivot_row, col]:.3e} below tolerance in column {col}")
+        if pivot_row != col:
+            work[[col, pivot_row]] = work[[pivot_row, col]]
+        work[col] /= work[col, col]
+        for row in range(n):
+            if row != col and work[row, col] != 0.0:
+                work[row] -= work[row, col] * work[col]
+    return work[:, n:]
+
+
+def _outcome(fn, a):
+    """The bytes and shape of fn(a), or the type and message it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(a)
+        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+            return type(exc), str(exc)
+    return out.shape, out.tobytes()
+
+
+# small integers make ties in |pivot| and exact zeros of both signs; the
+# large entries overflow during elimination, which puts nan in a pivot column
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -3.0]),
+    st.floats(-8.0, 8.0).map(lambda x: round(x, 1)),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([1e150, -1e-150, 1e-300, 1e308, -1e308, 1.7e308]),
+)
+_SQUARES = st.integers(1, 6).flatmap(
+    lambda n: st.lists(_ENTRIES, min_size=n * n, max_size=n * n).map(
+        lambda xs: np.array(xs).reshape(n, n)))
+
+
+class TestInverseBits:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(_SQUARES)
+    @example(np.zeros((0, 0)))
+    # rows 0 and 1 tie in |column 0|: taking row 1 first rounds differently
+    @example(np.array([[1.0, 3.0, 0.1], [-1.0, 0.7, 0.3], [0.2, 0.9, 1.1]]))
+    # tied pivots in both columns, one of them -0.0 after elimination
+    @example(np.array([[1.0, 2.0, -0.0], [-1.0, 0.0, 3.0], [1.0, -2.0, 0.5]]))
+    # singular: the second pivot is exactly zero
+    @example(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    # an overflow makes nan in column 2 below a finite entry; the first
+    # nan is the pivot (choosing the largest finite entry raises instead)
+    @example(np.array([[-1.0, -1.0, 3.0, 3.0], [0.0, 0.5, 0.0, -0.0],
+                       [-1e308, -1e308, 1e308, 1.0], [1e308, -1e308, 1e308, 1e308]]))
+    def test_same_bits_and_errors_as_numpy_rows(self, a):
+        assert _outcome(inverse, a) == _outcome(_numpy_row_inverse, a)
+
+
+def _views(a):
+    """A C-order array, its transpose and two strided views of it."""
+    views = [a, a.T]
+    if a.ndim == 2:
+        views += [a[::2, ::-1], a.T[1:, ::2]]
+    else:
+        views += [a[::-2], a[1::3]]
+    return views
+
+
+class TestFrobeniusBits:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(hnp.arrays(np.float64, st.one_of(hnp.array_shapes(min_dims=2, max_dims=2, max_side=7),
+                                            st.integers(0, 20).map(lambda n: (n,))),
+                      elements=st.one_of(st.floats(-1e3, 1e3), st.floats(),
+                                         st.sampled_from([0.0, -0.0, 1e200, -1e160]))))
+    # the transpose's memory order and its C order sum to different bits
+    @example(np.array([[0.69, -0.7, 2.98, 2.89], [1.11, 0.9, 1.13, -0.67],
+                       [-2.19, 1.33, 0.15, -1.14]]))
+    @example(np.array([1e200, 1.0]))  # the sum of squares overflows to inf
+    @example(np.array([[1.0, math.nan], [math.inf, 0.0]]))
+    def test_same_bits_as_numpy_norm(self, a):
+        with np.errstate(all="ignore"):
+            for v in _views(a):
+                assert np.float64(frobenius(v)).tobytes() == np.linalg.norm(v).tobytes()
+
+
+def _bare_norm_calls(tree):
+    """Line numbers of ``*.linalg.norm(x)`` calls with no ord or axis."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.norm")
+                and len(node.args) < 2
+                and not {"ord", "axis"} & {kw.arg for kw in node.keywords}):
+            yield node.lineno
+
+
+def test_one_frobenius_norm():
+    """Every Frobenius norm of the package goes through ``linalg.frobenius``."""
+    root = pathlib.Path(puosc.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(root.glob("*.py"))
+             for line in _bare_norm_calls(ast.parse(path.read_text()))]
+    assert found == []
+    # the walk does see a call it must report
+    assert list(_bare_norm_calls(ast.parse("np.linalg.norm(a - b)"))) == [1]
 
 
 class TestExpm:
