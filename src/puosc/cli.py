@@ -3,7 +3,8 @@
 Subcommands: verify (identity suites -> JSON report), hierarchy (charge
 table), transform (catalog report), flow (group-flow curves), simulate
 (trajectory with monitored charges), discover (structure solver).  Exit
-codes: 0 success, 1 domain error, 2 usage error.
+codes: 0 success, 1 domain error, 2 usage error.  Only verify, which draws
+from it, takes --seed; no option is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ import numpy as np
 from . import dynamics, hierarchy, symmetry, transform, verify
 from .core import PuParams, flow_residual, hamiltonian_h1, hamiltonian_h2
 from .errors import DivergenceError, InvalidInputError, PuError
-
-DEFAULT_TOL = 1e-9
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -44,8 +43,6 @@ def _emit(data: str, out: str | None) -> None:
         _atomic_write(out, data)
     else:
         sys.stdout.write(data)
-        if not data.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _csv(header: list[str], rows: list[list[float]]) -> str:
@@ -76,14 +73,11 @@ _finite_float = _argument_type(float, math.isfinite, "a finite number")
 _nonnegative_int = _argument_type(int, lambda v: v >= 0, "a non-negative integer")
 
 
-def _add_common(sub: argparse.ArgumentParser, *, seed: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=_finite_float, default=None)
     sub.add_argument("--beta", type=_finite_float, default=None)
     sub.add_argument("--omega1", type=_finite_float, default=None)
     sub.add_argument("--omega2", type=_finite_float, default=None)
-    if seed:
-        sub.add_argument("--seed", type=_nonnegative_int, default=0)
-    sub.add_argument("--tol", type=_finite_float, default=None)
     sub.add_argument("--out", type=str, default=None)
     # post-parse usage errors are reported against the subcommand's parser
     sub.set_defaults(subparser=sub)
@@ -102,18 +96,6 @@ def _params_from_args(parser: argparse.ArgumentParser, args) -> PuParams:
         return PuParams(args.alpha, args.beta)
     except InvalidInputError as exc:
         parser.error(str(exc))
-
-
-def _tol_from_args(parser: argparse.ArgumentParser, args) -> float:
-    tol = args.tol
-    if tol is None:
-        try:
-            tol = _finite_float(os.environ.get("PU_TOL", repr(DEFAULT_TOL)))
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"PU_TOL: {exc}")
-    if tol <= 0.0:
-        parser.error("tolerance must be positive")
-    return tol
 
 
 def _classical_solution(p: PuParams, args) -> dynamics.ClassicalSolution:
@@ -138,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="run the identity suites")
     _add_common(p_verify)
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p_hier = subs.add_parser("hierarchy", help="charge coefficients and polynomials")
     _add_common(p_hier)
@@ -154,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--g", type=_finite_float, default=0.0)
 
     p_flow = subs.add_parser("flow", help="sample a symmetry-group flow")
-    _add_common(p_flow, seed=False)
+    _add_common(p_flow)
     p_flow.add_argument("--generator", choices=("X1", "X2", "X3", "X4"), default="X3")
     p_flow.add_argument("--s", type=_finite_float, default=1.0)
     p_flow.add_argument("--t-end", dest="t_end", type=_finite_float, default=10.0)
@@ -163,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_flow.add_argument(f"--{amp}", type=_finite_float, default=0.0)
 
     p_sim = subs.add_parser("simulate", help="integrate and monitor charges")
-    _add_common(p_sim, seed=False)
+    _add_common(p_sim)
     p_sim.add_argument("--h", type=_finite_float, default=1e-3)
     p_sim.add_argument("--t-end", dest="t_end", type=_finite_float, default=10.0)
     p_sim.add_argument("--potential", type=str, default=None,
@@ -178,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(parser, args, p: PuParams) -> int:
-    report = verify.run_verification(p, seed=args.seed, tol=args.tol)
+    report = verify.run_verification(p, seed=args.seed)
     _emit(_json_dump(report), args.out)
     return 0 if report["pass"] else 1
 
@@ -192,8 +175,7 @@ def _cmd_hierarchy(parser, args, p: PuParams) -> int:
         c1, c2 = hierarchy.coefficients_on_h1h2(p, charge)
         rows.append([float(k), c1, c2, hierarchy.pu_polynomial(k, p)])
     if args.format == "json":
-        payload = {"seed": args.seed,
-                   "params": {"alpha": p.alpha, "beta": p.beta},
+        payload = {"params": {"alpha": p.alpha, "beta": p.beta},
                    "charges": [{"n": int(r[0]), "c_h1": r[1], "c_h2": r[2],
                                 "p_n": r[3]} for r in rows]}
         _emit(_json_dump(payload), args.out)
@@ -218,7 +200,6 @@ def _cmd_transform(parser, args, p: PuParams) -> int:
     spec = transform.build(kind, p, **kwargs)
     c1, c2 = transform.pullback_hamiltonian(spec, p)
     payload = {
-        "seed": args.seed,
         "params": {"alpha": p.alpha, "beta": p.beta},
         "kind": kind,
         "mu": list(spec.mu),
@@ -293,7 +274,6 @@ def _cmd_simulate(parser, args, p: PuParams) -> int:
 def _cmd_discover(parser, args, p: PuParams) -> int:
     result = dynamics.structure_discovery(p)
     payload = {
-        "seed": args.seed,
         "params": {"alpha": p.alpha, "beta": p.beta},
         "pairs": [{"j": j.matrix.tolist(), "s": h.matrix.tolist(),
                    "residual": flow_residual(j, h, p)} for j, h in result.pairs],
@@ -319,7 +299,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sub = args.subparser
     p = _params_from_args(sub, args)
-    args.tol = _tol_from_args(sub, args)
     try:
         return _COMMANDS[args.command](sub, args, p)
     except PuError as exc:

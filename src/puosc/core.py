@@ -59,7 +59,7 @@ import numpy as np
 from .errors import InvalidInputError, ParameterDomainError
 from .linalg import as_matrix, frobenius, require_finite
 
-DEFAULT_DEG_TOL = 1e-8
+DEGENERACY_TOL = 1e-8  # the absolute |w1^2 - w2^2| at or below which p.degenerate holds
 _MEMO = "_memo"  # the key of a PuParams' memo dict in its __dict__
 _MISSING = object()  # a memo entry that is not there yet
 
@@ -72,7 +72,6 @@ class PuParams:
     beta: float
     omega1: float | None = None
     omega2: float | None = None
-    deg_tol: float = DEFAULT_DEG_TOL
 
     def __post_init__(self):
         for name in ("omega1", "omega2", "alpha", "beta"):
@@ -89,14 +88,13 @@ class PuParams:
                     raise InvalidInputError(f"frequencies {w!r} disagree with {name} = {want!r}")
 
     @classmethod
-    def from_frequencies(cls, omega1: float, omega2: float,
-                         deg_tol: float = DEFAULT_DEG_TOL) -> "PuParams":
+    def from_frequencies(cls, omega1: float, omega2: float) -> "PuParams":
         """Build from the two mode frequencies: alpha = w1^2 + w2^2, beta = w1^2 w2^2,
         squared as floats, as ``__post_init__`` squares them to check the result."""
         omega1, omega2 = float(omega1), float(omega2)
         w1sq, w2sq = omega1 * omega1, omega2 * omega2
         return cls(alpha=w1sq + w2sq, beta=w1sq * w2sq,
-                   omega1=omega1, omega2=omega2, deg_tol=deg_tol)
+                   omega1=omega1, omega2=omega2)
 
     def frequencies(self) -> tuple[float, float]:
         """The (omega1, omega2) pair, derived from (alpha, beta) if needed."""
@@ -115,7 +113,7 @@ class PuParams:
     @property
     def degenerate(self) -> bool:
         w1, w2 = self.frequencies()
-        return abs(w1 * w1 - w2 * w2) <= self.deg_tol
+        return abs(w1 * w1 - w2 * w2) <= DEGENERACY_TOL
 
     def __getstate__(self):
         """Copy and pickle the fields only, never the memo."""

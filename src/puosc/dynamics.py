@@ -168,7 +168,11 @@ def _diverged(i: int, h: float, states: np.ndarray) -> DivergenceError:
 
 def _start(v0, n_steps: int):
     """The state array with v0 in row 0, its flat view, and v0 as floats."""
-    states = np.empty((n_steps + 1, 4))
+    try:
+        states = np.empty((n_steps + 1, 4))
+    except (ValueError, MemoryError):  # more rows than numpy or memory can hold
+        raise InvalidInputError(f"cannot hold the states of {n_steps:.6g} steps: "
+                                "raise h or lower t_end") from None
     states[0] = v0
     # A numpy matvec never returns -0.0, so the vector form stepped a -0.0
     # entry of the initial state as +0.0; adding 0.0 does the same here.
@@ -249,6 +253,8 @@ def integrate(field, v0: PhaseState, h: float, t_end: float) -> Trajectory:
         raise InvalidInputError("step size h must be positive and finite")
     if not h <= t_end < math.inf:
         raise InvalidInputError("t_end must be finite and at least one step")
+    if t_end / h == math.inf:
+        raise InvalidInputError("t_end / h overflows: raise h or lower t_end")
     n_steps = int(round(t_end / h))
     if type(field) is LinearField:
         states = _rk4_linear(field._m30, field._m32, v0.as_array(), h, n_steps)
@@ -316,7 +322,7 @@ class CompatibilityReport:
     compatible_ray: tuple[float, float] | None
 
 
-def interaction_compatibility(p: PuParams, pot: Potential, rng=None) -> CompatibilityReport:
+def interaction_compatibility(p: PuParams, pot: Potential, rng) -> CompatibilityReport:
     """Scan 32 tensor directions for compatibility with the interacting flow.
 
     The interacting Hamiltonian is H1 + V(q) for an on_q potential and
@@ -326,7 +332,6 @@ def interaction_compatibility(p: PuParams, pot: Potential, rng=None) -> Compatib
     directions are returned, not judged: how far they must stay from zero
     is the caller's bound.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     probe = rng.uniform(-1.0, 1.0, 8)
     if max(abs(pot.derivative(x) - pot.derivative(y))
            for x in probe for y in probe) < 1e-12:
@@ -421,7 +426,7 @@ def _antisym_from_params(c: np.ndarray) -> np.ndarray:
     return k
 
 
-def structure_discovery(p: PuParams, tol: float = 1e-12) -> DiscoveryResult:
+def structure_discovery(p: PuParams) -> DiscoveryResult:
     """Solve the flow equation for (J, H) pairs from scratch.
 
     Parametrizes antisymmetric K with K M + M^T K = 0 (so that S = K M is
@@ -440,7 +445,7 @@ def structure_discovery(p: PuParams, tol: float = 1e-12) -> DiscoveryResult:
         k = _antisym_from_params(c)
         columns.append((k @ m + m.T @ k).ravel())
     operator = np.column_stack(columns)
-    kernel = nullspace(operator, tol=tol)
+    kernel = nullspace(operator)
 
     pairs, kernels, skipped = [], [], []
     for coeffs in kernel:

@@ -213,9 +213,12 @@ def pd_window(p: PuParams, c1: float, c2: float) -> bool:
 
 
 def involution_residual(p: PuParams, depth: int = 5) -> float:
-    """Largest bracket norm among {H_i, H_j} under both tensors, i,j <= depth."""
+    """Largest bracket norm among {H_i, H_j} under both tensors, i < j <= depth.
+
+    The pairs j < i and i = j add nothing: {H_j, H_i} is {H_i, H_j} negated
+    bit for bit, and {H_i, H_i} is exactly zero."""
     ladder = charge_ladder(p, depth).charges
     j1, j2 = poisson_j1(p), poisson_j2(p)
     return float(np.max([frobenius(quad_bracket(tensor, ladder[i], ladder[j]).matrix)
-                         for i in range(depth) for j in range(depth) for tensor in (j1, j2)],
-                        initial=0.0))
+                         for i in range(depth) for j in range(i + 1, depth)
+                         for tensor in (j1, j2)], initial=0.0))

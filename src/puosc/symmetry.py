@@ -48,7 +48,7 @@ def commutator(x: Generator, y: Generator) -> Generator:
     return Generator(b @ a - a @ b)
 
 
-def solve_symmetries(p: PuParams, tol: float = 1e-12) -> list[Generator]:
+def solve_symmetries(p: PuParams) -> list[Generator]:
     """Orthonormal-coefficient basis of {A : M A - A M = 0}.
 
     vec is taken column-major, so vec(MA) = (I (x) M) vec(A) and
@@ -57,7 +57,7 @@ def solve_symmetries(p: PuParams, tol: float = 1e-12) -> list[Generator]:
     m = companion_field(p)
     eye = np.eye(4)
     sylvester = np.kron(eye, m) - np.kron(m.T, eye)
-    basis = nullspace(sylvester, tol=tol)
+    basis = nullspace(sylvester)
     return [Generator(vec.reshape((4, 4), order="F")) for vec in basis]
 
 

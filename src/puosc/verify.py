@@ -76,12 +76,12 @@ def random_params(rng) -> PuParams:
     return PuParams(alpha, beta)
 
 
-def random_freq_params(rng, sep: float = 0.1) -> PuParams:
-    """Frequencies in [0.4, 2.5] whose squares differ by at least sep."""
+def random_freq_params(rng) -> PuParams:
+    """Frequencies in [0.4, 2.5] whose squares differ by at least 0.1."""
     while True:
         w1 = rng.uniform(0.4, 2.5)
         w2 = rng.uniform(0.4, 2.5)
-        if abs(w1 * w1 - w2 * w2) >= sep:
+        if abs(w1 * w1 - w2 * w2) >= 0.1:
             return PuParams.from_frequencies(w1, w2)
 
 
@@ -672,6 +672,9 @@ def _discovery(rng):
     return values + [flow_residual(j, h, pp) for j, h in res.pairs]
 
 
+# (id, anchor, fn(p, rng, tol)).  No check reads tol, and run_verification
+# passes None; the slot stays because perfbench's replay of the registry
+# (perfbench/tracing.py) calls each fn with three arguments.
 CHECKS: list[tuple[str, str, Callable]] = [
     ("kernels.identities", "invented — artifact plumbing", _over_draws(20, 1e-9, _kernels)),
     ("lie.commutant-dimension", "§2.1", _check_commutant),
@@ -709,12 +712,12 @@ CHECKS: list[tuple[str, str, Callable]] = [
 ]
 
 
-def run_verification(p: PuParams, seed: int, tol: float = 1e-9) -> dict:
+def run_verification(p: PuParams, seed: int) -> dict:
     """Run every suite and assemble the JSON-ready report."""
     rng = np.random.default_rng(seed)
     checks = []
     for check_id, anchor, fn in CHECKS:
-        passed, residual, samples = fn(p, rng, tol)
+        passed, residual, samples = fn(p, rng, None)
         checks.append({
             "id": check_id,
             "anchor": anchor,

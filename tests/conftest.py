@@ -15,42 +15,23 @@ from puosc.core import PuParams
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     """Run `puosc ARGS` in this process through `cli.main`.
 
-    stdout and stderr are captured, ``env_extra`` is set in the environment
-    for the call only, and an uncaught exception is printed as a traceback
-    with exit code 1, as the interpreter would.  Returns a CompletedProcess.
+    stdout and stderr are captured, and an uncaught exception is printed as
+    a traceback with exit code 1, as the interpreter would.  Returns a
+    CompletedProcess.
     """
     out, err = io.StringIO(), io.StringIO()
-    saved = {key: os.environ.get(key) for key in env_extra or {}}
-    os.environ.update(env_extra or {})
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(list(args))
-            except SystemExit as exc:
-                code = exc.code
-            except Exception:
-                traceback.print_exc()
-                code = 1
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key)
-            else:
-                os.environ[key] = value
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
     return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
-
-
-def run_cli_process(*args, env_extra=None):
-    """Run `python -m puosc ARGS` in a subprocess against this checkout's src."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "puosc", *args],
-                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="session")
@@ -58,14 +39,18 @@ def verify_runs(tmp_path_factory):
     """(exit code, report bytes) of two identical `puosc verify --seed 42` runs.
 
     Session-scoped so the acceptance and CLI suites share one pair of
-    subprocesses, which run at the same time.
+    `python -m puosc` subprocesses against this checkout's src, which run at
+    the same time.
     """
     out = tmp_path_factory.mktemp("verify")
     paths = [out / "r1.json", out / "r2.json"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
 
     def run(path):
-        return run_cli_process("verify", "--omega1", "2", "--omega2", "1", "--seed", "42",
-                               "--out", str(path))
+        return subprocess.run([sys.executable, "-m", "puosc", "verify", "--omega1", "2", "--omega2",
+                               "1", "--seed", "42", "--out", str(path)],
+                              capture_output=True, text=True, env=env)
 
     with ThreadPoolExecutor(len(paths)) as pool:
         procs = list(pool.map(run, paths))

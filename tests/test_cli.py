@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -9,8 +10,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli, run_cli_process
+from conftest import run_cli
+from puosc import verify
 from puosc.cli import build_parser
+
+_AMPLITUDES = {"--A1": ("1", "0"), "--A2": ("0", "1"), "--B1": ("0", "1"), "--B2": ("1", "0")}
+_RUNS = [  # (argv, {option: (value, other value)}) of quick runs; None leaves it out
+    (["verify"], {"--seed": ("0", "1")}),
+    (["hierarchy"], {"--n": ("2", "3"), "--format": ("csv", "json")}),
+    (["transform"], {"--kind": ("Tb1", "Ta2+"), "--ax": ("1", "2"), "--bx": ("0.5", "1.5"),
+                     "--g": ("1", "0.5")}),
+    (["transform", "--kind", "Ta2+"], {"--ay": ("1", "2")}),
+    (["transform", "--kind", "Tb2+"], {"--by": ("1", "2")}),
+    (["flow"], {"--generator": ("X2", "X3"), "--s": ("0.5", "1"), "--t-end": ("1", "2"),
+                "--steps": ("2", "3"), **_AMPLITUDES}),
+    (["simulate"], {"--h": ("0.1", "0.25"), "--t-end": ("0.5", "1"), "--potential": ("quartic", None),
+                    "--potential-kind": ("on_q", "on_qdd"), **_AMPLITUDES}),
+    (["discover"], {}),
+]
+_STYLES = ({"--alpha": ("5", "6"), "--beta": ("4", "3")},
+           {"--omega1": ("2", "2.5"), "--omega2": ("1", "1.5")})
+# (fixed argv, option, value, other value): each option of each run, with
+# the others at their first value, under both parameter styles
+_OPTION_CASES = [
+    ((*argv, *(x for o, (v, _) in options.items() if o != option and v is not None for x in (o, v))),
+     option, value, other)
+    for argv, run in _RUNS for style in _STYLES
+    for options in [{**style, **run, "--out": (None, "OUT")}]
+    for option, (value, other) in options.items()]
+# a quick run of each subcommand that exits 0
+_QUICK = {argv[0]: argv for argv, option, _, _ in _OPTION_CASES if option == "--out"}
+
+
+@pytest.mark.parametrize("argv, option, value, other", _OPTION_CASES,
+                         ids=lambda x: x[0] if isinstance(x, tuple) else None)
+def test_every_option_changes_the_output(argv, option, value, other, monkeypatch, tmp_path):
+    """An option that is accepted and ignored gives the same output and exit
+    code for every value."""
+    # two cheap checks that read the parameters and the seed stand in for all 30
+    monkeypatch.setattr(verify, "CHECKS", [row for row in verify.CHECKS
+                                           if row[0] in ("kernels.identities", "ghost.variants")])
+    results = []
+    for v in (value, other):
+        extra = () if v is None else (option, str(tmp_path / v) if option == "--out" else v)
+        r = run_cli(*argv, *extra)
+        results.append((r.returncode, r.stdout, r.stderr))
+    assert results[0] != results[1]
+
+
+def test_option_cases_cover_every_option():
+    """A new option must join _RUNS, so it cannot be one that is ignored."""
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {(name, option) for name, sub in commands.items() for action in sub._actions
+               for option in action.option_strings if option not in ("-h", "--help")}
+    assert {(argv[0], option) for argv, option, _, _ in _OPTION_CASES} == options
 
 
 class TestUsageErrors:
@@ -34,31 +88,25 @@ class TestUsageErrors:
         r = run_cli("verify", "--omega1", "2", "--omega2", "1", "--format", "csv")
         assert r.returncode == 2
 
-    def test_bad_env_tolerance_rejected(self):
-        # a real process, so PU_TOL comes from the environment it starts with
-        r = run_cli_process("hierarchy", "--n", "2", "--alpha", "5", "--beta", "4",
-                            env_extra={"PU_TOL": "not-a-number"})
-        assert r.returncode == 2
-
-    @pytest.mark.parametrize("command", [["transform", "--kind", "Tb1", "--bx", "0", "--g", "1"],
-                                         ["discover"], ["flow"], ["simulate"]],
-                             ids=["transform", "discover", "flow", "simulate"])
+    @pytest.mark.parametrize("command", ["transform", "discover", "flow", "simulate"])
     def test_format_only_on_hierarchy(self, command):
-        r = run_cli(*command, "--omega1", "2", "--omega2", "1", "--format", "csv")
+        r = run_cli(*_QUICK[command], "--format", "csv")
         assert r.returncode == 2
         assert "unrecognized arguments: --format csv" in r.stderr
 
-    @pytest.mark.parametrize("command", ["flow", "simulate"])
-    def test_seed_only_where_read_or_echoed(self, command):
-        r = run_cli(command, "--omega1", "2", "--omega2", "1", "--seed", "3")
+    @pytest.mark.parametrize("command, option", [
+        *(pytest.param(c, "--seed 3", id=c) for c in ("flow", "simulate", "hierarchy",
+                                                      "transform", "discover")),
+        *(pytest.param(c, "--tol 1e-9", id=f"{c}-tol") for c in _QUICK),
+    ])
+    def test_seed_only_where_read_or_echoed(self, command, option):
+        r = run_cli(*_QUICK[command], *option.split())
         assert r.returncode == 2
-        assert "unrecognized arguments: --seed 3" in r.stderr
+        assert f"unrecognized arguments: {option}" in r.stderr
 
-    @pytest.mark.parametrize("command", [["verify"], ["hierarchy"], ["discover"],
-                                         ["transform", "--kind", "Tb1", "--bx", "0"]],
-                             ids=["verify", "hierarchy", "discover", "transform"])
+    @pytest.mark.parametrize("command", ["verify"])
     def test_negative_seed_rejected(self, command):
-        r = run_cli(*command, "--omega1", "2", "--omega2", "1", "--seed", "-1")
+        r = run_cli(command, "--omega1", "2", "--omega2", "1", "--seed", "-1")
         assert r.returncode == 2
         assert "expected a non-negative integer" in r.stderr and "Traceback" not in r.stderr
 
@@ -69,7 +117,6 @@ class TestUsageErrors:
         ["hierarchy", "--alpha", "nan", "--beta", "4"],
         ["transform", "--kind", "Tb1", "--omega1", "2", "--omega2", "1", "--bx=-inf"],
         ["flow", "--omega1", "2", "--omega2", "1", "--s", "nan"],
-        ["verify", "--omega1", "2", "--omega2", "1", "--tol", "inf"],
         ["simulate", "--omega1", "2", "--omega2", "1", "--potential", "quartic:lam=nan"],
         ["simulate", "--omega1", "2", "--omega2", "1", "--potential", "quartic:lam=inf"],
     ])
@@ -79,22 +126,14 @@ class TestUsageErrors:
         assert "expected a finite number" in r.stderr and "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("argv", [
-        ["hierarchy", "--alpha", "5", "--beta", "4", "--tol", "-1"],
         ["hierarchy", "--alpha", "5", "--omega1", "2", "--omega2", "1"],
         ["hierarchy", "--omega1", "1e200", "--omega2", "1"],
         ["hierarchy", "--omega1=-2", "--omega2", "1"],
-    ], ids=["tolerance", "both-styles", "overflowing-frequency", "negative-frequency"])
+    ], ids=["both-styles", "overflowing-frequency", "negative-frequency"])
     def test_post_parse_error_names_subcommand(self, argv):
         r = run_cli(*argv)
         assert r.returncode == 2
         assert r.stderr.startswith("usage: puosc hierarchy")
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_env_tolerance_rejected(self, value):
-        r = run_cli("hierarchy", "--n", "2", "--alpha", "5", "--beta", "4",
-                    env_extra={"PU_TOL": value})
-        assert r.returncode == 2
-        assert "PU_TOL" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestDomainErrors:
@@ -245,6 +284,13 @@ class TestSimulateCommand:
         first = dict(zip(lines[0].split(","), lines[1].split(",")))
         last = dict(zip(lines[0].split(","), lines[-1].split(",")))
         assert float(first["Hint"]) == pytest.approx(float(last["Hint"]), abs=1e-8)
+
+    @pytest.mark.parametrize("t_end", ["1", "1e10"])
+    def test_unholdable_step_count_is_a_domain_error(self, t_end):
+        # 1e300 steps are more than numpy can shape; 1e310 overflows to inf
+        r = run_cli("simulate", "--omega1", "2", "--omega2", "1", "--h", "1e-300", "--t-end", t_end)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
     def test_csv_round_trip_exact(self, tmp_path):
         out = tmp_path / "traj.csv"

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import platform
+import runpy
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,26 +68,36 @@ class TestWorst:
         assert check(None, None, 1e-9) == (True, 0.5, 8)
 
 
-def _manifest():
-    """(header, {name: (sha256, exit code)}) of tools/snapshot.sha256."""
+# {file name: argv} of every tools/snapshot.py output
+_SNAPSHOT = dict(runpy.run_path(os.path.join(PKG_ROOT, "tools", "snapshot.py"))["commands"]())
+
+
+def _snapshot_exit_code(name, tmp_path) -> int:
+    """Run the snapshot command of name, require its bytes and exit code to
+    match its tools/snapshot.sha256 line, and return the exit code."""
     with open(os.path.join(PKG_ROOT, "tools", "snapshot.sha256")) as handle:
         header, *lines = handle.read().splitlines()
-    return header, {name: (digest, int(code))
-                    for digest, name, code in (line.split() for line in lines)}
+    running = f"# python {platform.python_version()} numpy {np.__version__}"
+    if header != running:
+        pytest.skip(f"manifest written under '{header[2:]}', running '{running[2:]}'")
+    out = tmp_path / name
+    code = run_cli(*_SNAPSHOT[name], "--out", str(out)).returncode
+    assert f"{hashlib.sha256(out.read_bytes()).hexdigest()} {name} {code}" in lines
+    return code
 
 
 @pytest.mark.parametrize("seed, code", [(5, 0), (3, 1)])
 def test_verify_bytes_match_the_snapshot_manifest(seed, code, tmp_path):
     """A slip in the order of verify's draws moves these bytes, though two
     runs of one build still agree with each other."""
-    header, digests = _manifest()
-    running = f"# python {platform.python_version()} numpy {np.__version__}"
-    if header != running:
-        pytest.skip(f"manifest written under '{header[2:]}', running '{running[2:]}'")
-    out = tmp_path / "report.json"
-    r = run_cli("verify", "--omega1", "2", "--omega2", "1", "--seed", str(seed), "--out", str(out))
-    assert r.returncode == code
-    assert (hashlib.sha256(out.read_bytes()).hexdigest(), code) == digests[f"verify-{seed}.json"]
+    assert _snapshot_exit_code(f"verify-{seed}.json", tmp_path) == code
+
+
+@pytest.mark.parametrize("name", [name for name in _SNAPSHOT
+                                  if not name.startswith(("verify-", "simulate-"))])
+def test_quick_outputs_match_the_snapshot_manifest(name, tmp_path):
+    """The snapshot outputs that take milliseconds, gated on every run."""
+    _snapshot_exit_code(name, tmp_path)
 
 
 def _nan_on_call(monkeypatch, owner, name, call, nan=math.nan):
