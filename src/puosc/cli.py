@@ -227,8 +227,11 @@ def _cmd_transform(parser, args, p: PuParams) -> int:
 def _cmd_flow(parser, args, p: PuParams) -> int:
     sol = _classical_solution(p, args)
     gens = dict(zip(("X1", "X2", "X3", "X4"), symmetry.standard_basis(p)))
-    states = [(t, dynamics.eval_solution(sol, t))
-              for t in np.linspace(0.0, args.t_end, args.steps + 1)]
+    try:
+        times = np.linspace(0.0, args.t_end, args.steps + 1)
+    except (ValueError, MemoryError):  # more samples than numpy or memory can hold
+        raise InvalidInputError(f"cannot hold {args.steps:.6g} steps: lower --steps") from None
+    states = [(t, dynamics.eval_solution(sol, t)) for t in times]
     curve = symmetry.flow_curve(gens[args.generator], args.s, states)
     rows = [[t, st.q, st.qd, st.qdd, st.qddd] for t, st in curve.samples]
     _emit(_csv(["t", "q", "qd", "qdd", "qddd"], rows), args.out)

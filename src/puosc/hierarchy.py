@@ -129,15 +129,15 @@ def ladder_via_x3(p: PuParams, k: int) -> QuadHamiltonian:
     return combined_form(p, c1, c2)
 
 
-def x3_action_ladder(p: PuParams, k: int) -> QuadHamiltonian:
-    """k-fold application of the X3 Lie derivative to H1."""
+def x3_action_ladder(p: PuParams, k: int) -> tuple[QuadHamiltonian, ...]:
+    """H1 and its 1- to k-fold images under the X3 Lie derivative."""
     if k < 0:
         raise InvalidInputError("k must be >= 0")
     _, _, x3, _ = standard_basis(p)
-    h = hamiltonian_h1(p)
+    forms = [hamiltonian_h1(p)]
     for _ in range(k):
-        h = act_on_hamiltonian(x3, h)
-    return h
+        forms.append(act_on_hamiltonian(x3, forms[-1]))
+    return tuple(forms)
 
 
 def x4_pair(p: PuParams) -> tuple[QuadHamiltonian, QuadHamiltonian]:

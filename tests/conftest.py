@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from puosc import cli
+from puosc import cli, verify
 from puosc.core import PuParams
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -32,6 +32,11 @@ def run_cli(*args):
             traceback.print_exc()
             code = 1
     return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
+
+
+def verify_check(check_id):
+    """The function of the ``verify.CHECKS`` row with id check_id."""
+    return next(fn for row_id, _, fn in verify.CHECKS if row_id == check_id)
 
 
 @pytest.fixture(scope="session")

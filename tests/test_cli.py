@@ -225,6 +225,11 @@ class TestFlowCommand:
         assert r.returncode == 2
         assert "--steps" in r.stderr and "Traceback" not in r.stderr
 
+    def test_unshapeable_step_count_is_a_domain_error(self):
+        # more samples than numpy can shape: refused before anything is allocated
+        r = run_cli("flow", "--omega1", "2", "--omega2", "1", "--steps", str(10 ** 30))
+        assert r.returncode == 1 and r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
     def test_zero_steps_gives_one_row(self):
         r = run_cli("flow", "--omega1", "2", "--omega2", "1", "--A1", "1", "--steps", "0")
         assert r.returncode == 0

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import arrays_of, assert_memoized
+from conftest import arrays_of, assert_memoized, verify_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -323,13 +323,12 @@ class TestCombinedForm:
         assert transform.transformed_form("Ta2", p, g=value).matrix.tobytes() == ta2.matrix.tobytes()
         assert transform.transformed_form("Tb1", p, bx=value).matrix.tobytes() == tb1.matrix.tobytes()
 
-    @pytest.mark.parametrize("measure", [
-        lambda rng: verify._check_flow_tensor(None, rng, 1e-9),
-        lambda rng: [verify._sm_embedding(rng) for _ in range(10)],
-    ], ids=["flow-tensor", "sm-embedding"])
-    def test_verify_sites(self, measure, monkeypatch):
+    @pytest.mark.parametrize("check_id", ["catalog.flow-tensor", "sm.embedding"],
+                             ids=["flow-tensor", "sm-embedding"])
+    def test_verify_sites(self, check_id, monkeypatch):
         # the check's output, and each form it builds, as with three builds
-        fast = measure(np.random.default_rng(15))
+        check = verify_check(check_id)
+        fast = check(None, np.random.default_rng(15), None)
         built = []
 
         def three_builds_checked(p, c3, c4):
@@ -338,7 +337,7 @@ class TestCombinedForm:
             built.append(form)
             return form
         monkeypatch.setattr(verify, "combined_form", three_builds_checked)
-        assert repr(measure(np.random.default_rng(15))) == repr(fast)
+        assert repr(check(None, np.random.default_rng(15), None)) == repr(fast)
         assert built
 
     @pytest.mark.parametrize("build", [

@@ -134,10 +134,11 @@ class TestLadder:
             if abs(p.alpha) < 0.1:
                 continue
             ladder = charge_ladder(p, 7).charges
-            for k in range(1, 7):
+            actions = x3_action_ladder(p, 6)
+            assert len(actions) == 7 and actions[0] is hamiltonian_h1(p)
+            for k, action in enumerate(actions[1:], 1):
                 scale = 1 + np.linalg.norm(ladder[k].matrix)
                 closed = ladder_via_x3(p, k)
-                action = x3_action_ladder(p, k)
                 assert np.linalg.norm(closed.matrix - ladder[k].matrix) <= 1e-9 * scale
                 assert np.linalg.norm(action.matrix - ladder[k].matrix) <= 1e-9 * scale
             count += 1

@@ -1,5 +1,5 @@
-"""The draw loop behind the verify registry, the nan-keeping maxima of
-its checks, and the report bytes they yield."""
+"""The draw loop behind the verify registry, the nan-keeping maxima and
+side conditions of its checks, and the report bytes they yield."""
 import hashlib
 import itertools
 import math
@@ -11,35 +11,35 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import PKG_ROOT, run_cli
+from conftest import PKG_ROOT, run_cli, verify_check
 from puosc import dynamics, hierarchy, transform, verify
-from puosc.core import PuParams
+from puosc.core import PuParams, poisson_j1
 from puosc.verify import _over_draws, _worst
 
 
 def _replay(draws):
     """A measure that returns the given draws in turn."""
     values = iter(draws)
-    return lambda rng: next(values)
+    return lambda p, rng: next(values)
 
 
 class TestWorst:
     def test_none_is_redrawn_and_not_counted(self):
         draws = [None, [0.2], None, None, [0.4, 0.1]]
         measure = _replay(draws + [[9.0]])
-        assert _worst(None, 2, measure) == 0.4
-        assert measure(None) == [9.0]  # nothing drawn past the second counted draw
+        assert _worst(None, None, [(2, measure)]) == (0.4, 2)
+        assert measure(None, None) == [9.0]  # nothing drawn past the second counted draw
 
     def test_draws_as_the_loop_it_replaced(self):
-        def measure(rng):
+        def measure(p, rng):
             # below 0.3 a redraw, below 0.5 a counted draw without values
             x = rng.uniform()
             return None if x < 0.3 else [] if x < 0.5 else [x]
 
         got, ref = np.random.default_rng(8), np.random.default_rng(8)
-        worst = _worst(got, 20, measure, measure)
+        worst, samples = _worst(None, got, [(20, measure), (20, measure)])
         # the loop each check wrote out before, once per measure
-        best = 0.0
+        best, measured = 0.0, 0
         for _ in range(2):
             n = 0
             while n < 20:
@@ -48,24 +48,27 @@ class TestWorst:
                     continue
                 if x >= 0.5:
                     best = max(best, x)
+                    measured += 1
                 n += 1
-        assert worst == best > 0.5
+        assert worst == best > 0.5 and samples == measured < 40
         assert got.uniform() == ref.uniform()
 
     def test_no_values_give_zero(self):
-        assert _worst(None, 5, lambda rng: ()) == 0.0
+        assert _worst(None, None, [(5, lambda p, rng: ())]) == (0.0, 0)
 
     @pytest.mark.parametrize("draws", [[[math.nan], [0.5]], [[0.5], [math.nan]],
                                        [[0.5, math.nan, 0.1], [0.2]]],
                              ids=["first", "after-a-value", "inside-a-draw"])
     def test_nan_is_kept_and_fails_the_check(self, draws):
-        assert math.isnan(_worst(None, 2, _replay(draws)))
-        passed, residual, samples = _over_draws(2, 1.0, _replay(draws))(None, None, 1e-9)
+        assert math.isnan(_worst(None, None, [(2, _replay(draws))])[0])
+        passed, residual, samples = _over_draws(1.0, (2, _replay(draws)))(None, None, None)
         assert passed is False and math.isnan(residual) and samples == 2
 
     def test_samples_count_each_measure(self):
-        check = _over_draws(4, 0.5, lambda rng: [0.5], lambda rng: [0.25])
-        assert check(None, None, 1e-9) == (True, 0.5, 8)
+        # p reaches each measure; a draw that measures nothing is no sample
+        check = _over_draws(0.5, (4, lambda p, rng: [p]), (3, lambda p, rng: [0.25]),
+                            (2, lambda p, rng: ()))
+        assert check(0.5, None, None) == (True, 0.5, 7)
 
 
 # {file name: argv} of every tools/snapshot.py output
@@ -111,22 +114,22 @@ class TestNanFails:
     """A nan that an inner measure returns after finite values makes its
     check fail with a nan residual; ``max(worst, x)`` dropped it."""
 
-    def assert_fails_on_nan(self, check):
-        passed, residual, _ = check(PuParams.from_frequencies(2.0, 1.0),
-                                    np.random.default_rng(5), 1e-9)
+    def assert_fails_on_nan(self, check_id):
+        passed, residual, _ = verify_check(check_id)(PuParams.from_frequencies(2.0, 1.0),
+                                                     np.random.default_rng(5), None)
         assert passed is False and math.isnan(residual)
 
     def test_commutant(self, monkeypatch):
         _nan_on_call(monkeypatch, verify, "_span_residual", 3)
-        self.assert_fails_on_nan(verify._check_commutant)
+        self.assert_fails_on_nan("lie.commutant-dimension")
 
     def test_flow_tensor(self, monkeypatch):
         _nan_on_call(monkeypatch, transform, "canonical_bracket_residual", 3)
-        self.assert_fails_on_nan(verify._check_flow_tensor)
+        self.assert_fails_on_nan("catalog.flow-tensor")
 
     def test_positivity_pieces(self, monkeypatch):
         _nan_on_call(monkeypatch, verify, "_reassembly", 3, nan=(0.0, math.nan))
-        self.assert_fails_on_nan(verify._check_positivity_pieces)
+        self.assert_fails_on_nan("positivity.square-pieces")
 
     def test_rk4_trajectory(self, monkeypatch):
         real = verify._reference_orbit
@@ -137,7 +140,7 @@ class TestNanFails:
             states[400, 1] = math.nan  # the third sampled row
             return dynamics.Trajectory(traj.times, states)
         monkeypatch.setattr(verify, "_reference_orbit", orbit)
-        self.assert_fails_on_nan(verify._check_rk4)
+        self.assert_fails_on_nan("dynamics.rk4")
 
     def test_conservation_drift(self, monkeypatch):
         real, calls = dynamics.conservation_report, itertools.count(1)
@@ -146,15 +149,14 @@ class TestNanFails:
             drifts = real(*args, **kwargs)
             return drifts[:-1] + [math.nan] if next(calls) == 1 else drifts
         monkeypatch.setattr(dynamics, "conservation_report", report)
-        self.assert_fails_on_nan(verify._check_conservation)
+        self.assert_fails_on_nan("dynamics.conservation")
 
     def test_involution(self, monkeypatch):
         nan_bracket = SimpleNamespace(matrix=np.full((4, 4), math.nan))
         _nan_on_call(monkeypatch, hierarchy, "quad_bracket", 3, nan=nan_bracket)
         assert math.isnan(hierarchy.involution_residual(PuParams(5.0, 4.0)))
         _nan_on_call(monkeypatch, hierarchy, "quad_bracket", 3, nan=nan_bracket)
-        self.assert_fails_on_nan(
-            {check_id: fn for check_id, _, fn in verify.CHECKS}["hierarchy.involution"])
+        self.assert_fails_on_nan("hierarchy.involution")
 
     def test_interaction_separation(self, monkeypatch):
         real = dynamics.interaction_compatibility
@@ -166,4 +168,25 @@ class TestNanFails:
             return dynamics.CompatibilityReport(rep.angles, residuals, rep.scale,
                                                 rep.compatible, rep.compatible_ray)
         monkeypatch.setattr(dynamics, "interaction_compatibility", compatibility)
-        self.assert_fails_on_nan(verify._check_interaction_unique)
+        self.assert_fails_on_nan("interaction.unique-tensor")
+
+
+_INTEGRATE, _PD_WINDOW = dynamics.integrate, hierarchy.pd_window
+
+
+@pytest.mark.parametrize("check_id, owner, name, stand_in", [
+    # every pair has a tensor, Ta1 and Tb2 pullbacks included
+    ("catalog.flow-tensor", transform, "flow_preserving_tensor", lambda pp, c3, c4: poisson_j1(pp)),
+    ("catalog.inverse-map", transform, "inverse", lambda spec, w: w),  # Ta1 inverts
+    # the h = 0.02 run steps at 0.01 too, so halving h gains nothing
+    ("dynamics.rk4", dynamics, "integrate",
+     lambda field, v0, h, t_end: _INTEGRATE(field, v0, min(h, 0.01), t_end)),
+    ("combined.pd-window", hierarchy, "pd_window",
+     lambda pp, c1, c2: c1 * c2 == 0.0 or _PD_WINDOW(pp, c1, c2)),  # axis draws pass
+], ids=["tensor-accepts-ta1-tb2", "ta1-inverts", "rk4-order", "axis-passes"])
+def test_failed_side_condition_fails_its_row(check_id, owner, name, stand_in, monkeypatch):
+    """Each row's other values stay finite, so only the side condition gives inf."""
+    monkeypatch.setattr(owner, name, stand_in)
+    check = verify_check(check_id)
+    assert check(PuParams.from_frequencies(2.0, 1.0), np.random.default_rng(5), None)[:2] == (
+        False, math.inf)
