@@ -8,20 +8,41 @@ matrix algebra.
 
 Forms and tensors are built on one of two paths.  The public constructors
 ``QuadHamiltonian(s)`` and ``PoissonTensor(j)`` take any input: they copy it,
-require a finite square matrix, and reject one whose (anti)symmetric part
-misses it by more than 1e-12 relative.  The private ``_exact(a)``
-constructors are for float arrays the library has made (anti)symmetric by
-construction: sums, differences and scalings of forms, symmetrized brackets,
-literal matrices, outer products and diagonals.  They call ``__init__`` with
-the private ``_trusted`` flag, so every build still runs ``__init__``, and
-skip the copy, the shape check and the asymmetry test, which cannot fire on
-such input.  Both
-paths then store 0.5 * (a +- a.T) and require that stored array to be
-finite, which also catches a symmetrization that overflows; so the stored
-bits and the raised errors are the same on either path.  Products such as
-W^T S W (pullbacks, Lie derivatives, basis changes) stay on the public path:
-BLAS may round their two triangles differently, so the asymmetry test means
-something there.
+require a finite square matrix, reject one whose (anti)symmetric part misses
+it by more than 1e-12 relative, and store 0.5 * (a +- a.T) once that is
+finite.  The private ``_exact(a)`` constructors are for float arrays the
+library has made (anti)symmetric by construction.  They call ``__init__``
+with the private ``_trusted`` flag, so every build still runs ``__init__``,
+and skip the copy, the shape check and the asymmetry test, which cannot fire
+on such input.
+
+``QuadHamiltonian._exact(a)`` takes an array that is symmetric bit for bit,
+signed zeros included.  Every site passes one:
+
+- sums, differences, scalings and negations of stored forms, and
+  ``combined_form``: each entry pair (i, j), (j, i) goes through the same
+  IEEE operations on the same operands;
+- the literals H1, H2 and the Ostrogradsky form: each off-diagonal pair is
+  one expression written twice;
+- ``_square_piece`` and the Tb2 branch of ``transform.pullback_form``: sums
+  and scalings of outer products v v^T, and x*y is y*x in IEEE arithmetic;
+- ``transform.legendre``: a diagonal plus g times an exactly symmetric
+  coupling;
+- ``quad_bracket``, ``hierarchy.next_charge`` and the forms of
+  ``dynamics.structure_discovery``: 0.5 * (b + b.T), and x + y is y + x.
+
+For such an array 0.5 * (a + a.T) is 0.5 * (2 a), which is a itself unless
+a + a overflows.  So the exact path stores a, once ``a + a`` is finite: that
+one test raises for a non-finite entry and for the overflow, the errors the
+public path raises for its stored 0.5 * (a + a.T).  The stored bits and the
+raised errors are the same on either path.  The array passed in becomes the
+stored read-only matrix, so it must be fresh and not kept by the caller, or
+already a read-only stored matrix.  ``PoissonTensor._exact`` still stores
+0.5 * (a - a.T): a pair of underflowed or negatively scaled zeros in
+``combined_tensor`` can differ in sign from the convention that
+antisymmetrization fixes.  Products such as W^T S W (pullbacks, Lie
+derivatives, basis changes) stay on the public path: BLAS may round their
+two triangles differently, so the asymmetry test means something there.
 
 Among the exact-path builders, ``combined_form(p, c3, c4)`` builds
 c3 H1 + c4 H2 as one form instead of three.  Its bits are those of
@@ -157,9 +178,10 @@ class PhaseState:
         return cls(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
 
 
-def _store(form, a: np.ndarray) -> None:
-    require_finite(a)
-    a.flags.writeable = False
+def _store(form, a: np.ndarray, probe: np.ndarray | None = None) -> None:
+    """Store a as the read-only matrix of form once probe (default a) is finite."""
+    require_finite(a if probe is None else probe)
+    a.setflags(write=False)
     object.__setattr__(form, "matrix", a)
 
 
@@ -188,20 +210,22 @@ class QuadHamiltonian(_FrozenMatrix):
 
     def __init__(self, s, *, _trusted: bool = False):
         if _trusted:
-            a = s
+            # 0.5 * (s + s.T) is s unless s + s overflows (module docstring)
+            _store(self, s, s + s)
         else:
             a = as_matrix(s, square=True)
             if frobenius(a - a.T) > 1e-12 * (1.0 + frobenius(a)):
                 raise InvalidInputError("Hamiltonian matrix is not symmetric")
-        _store(self, 0.5 * (a + a.T))
+            _store(self, 0.5 * (a + a.T))
 
     @classmethod
     def _exact(cls, a: np.ndarray) -> "QuadHamiltonian":
-        """The form of a float array that is symmetric by construction."""
+        """The form of a fresh float array that is symmetric bit for bit,
+        stored as it is (see the module docstring)."""
         return cls(a, _trusted=True)
 
     def __reduce__(self):
-        # symmetrizing the stored matrix again reproduces its bits
+        # the stored matrix is symmetric bit for bit
         return type(self)._exact, (self.matrix,)
 
     def value(self, v) -> float:
@@ -259,7 +283,7 @@ def companion_field(p: PuParams) -> np.ndarray:
         [0.0, 0.0, 0.0, 1.0],
         [-p.beta, 0.0, -p.alpha, 0.0],
     ])
-    m.flags.writeable = False
+    m.setflags(write=False)
     return m
 
 

@@ -54,7 +54,7 @@ def recursion_operator(p: PuParams) -> np.ndarray:
     if p.beta == 0.0:
         raise ParameterDomainError("charge recursion requires beta != 0")
     r = inverse(poisson_j2(p).matrix) @ poisson_j1(p).matrix
-    r.flags.writeable = False
+    r.setflags(write=False)
     return r
 
 
@@ -86,7 +86,7 @@ def _h1h2_basis(p: PuParams) -> np.ndarray:
     """The 16x2 matrix whose columns are H1 and H2 flattened."""
     basis = np.column_stack([hamiltonian_h1(p).matrix.ravel(),
                              hamiltonian_h2(p).matrix.ravel()])
-    basis.flags.writeable = False
+    basis.setflags(write=False)
     return basis
 
 

@@ -2,18 +2,19 @@
 
 The closed-form solutions and symmetry-group flows are finite sums of such
 terms, so repeated analytic differentiation gives exact phase states without
-any symbolic machinery.
+any symbolic machinery.  A term is a named tuple: ``phase_state`` builds
+about twenty of them per call, and a tuple is the cheapest immutable record
+to build.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import PhaseState
 
 
-@dataclass(frozen=True)
-class TrigTerm:
+class TrigTerm(NamedTuple):
     c0: float
     c1: float
     omega: float
@@ -29,13 +30,12 @@ class TrigTerm:
 def d_dt(terms: list[TrigTerm]) -> list[TrigTerm]:
     """Differentiate a term list once with respect to t."""
     out = []
-    for u in terms:
-        if u.c1 != 0.0:
-            out.append(TrigTerm(u.c1, 0.0, u.omega, u.shift, u.cosine))
+    for c0, c1, omega, shift, cosine in terms:
+        if c1 != 0.0:
+            out.append(TrigTerm(c1, 0.0, omega, shift, cosine))
         # trig' : sin -> +cos, cos -> -sin
-        sign = -1.0 if u.cosine else 1.0
-        out.append(TrigTerm(sign * u.omega * u.c0, sign * u.omega * u.c1,
-                            u.omega, u.shift, not u.cosine))
+        sign = -1.0 if cosine else 1.0
+        out.append(TrigTerm(sign * omega * c0, sign * omega * c1, omega, shift, not cosine))
     return out
 
 
@@ -45,9 +45,8 @@ def eval_terms(terms: list[TrigTerm], t: float) -> float:
 
 def phase_state(terms: list[TrigTerm], t: float) -> PhaseState:
     """Evaluate q and its first three exact derivatives at time t."""
-    values = []
-    current = terms
-    for _ in range(4):
-        values.append(eval_terms(current, t))
-        current = d_dt(current)
+    values = [eval_terms(terms, t)]
+    for _ in range(3):
+        terms = d_dt(terms)
+        values.append(eval_terms(terms, t))
     return PhaseState(*values)

@@ -26,7 +26,7 @@ class Generator(_FrozenMatrix):
 
     def __init__(self, a):
         m = as_matrix(a, square=True)
-        m.flags.writeable = False
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def __reduce__(self):

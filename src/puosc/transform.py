@@ -292,11 +292,10 @@ def pushforward_brackets(spec: TransformSpec, jbar: PoissonTensor) -> np.ndarray
     return w @ jbar.matrix @ w.T
 
 
-def canonical_bracket_residual(spec: TransformSpec, p: PuParams) -> float:
-    """Deviation of the pushed-forward flow-preserving bracket from canonical."""
-    c3, c4 = pullback_hamiltonian(spec, p)
-    table = pushforward_brackets(spec, flow_preserving_tensor(p, c3, c4))
-    return float(np.max(np.abs(table - CANONICAL_XY)))
+def canonical_bracket_residual(spec: TransformSpec, jt: PoissonTensor) -> float:
+    """Deviation of the pushed-forward bracket jt from canonical; jt is the
+    flow-preserving tensor of spec's pullback (``flow_preserving_tensor``)."""
+    return float(np.max(np.abs(pushforward_brackets(spec, jt) - CANONICAL_XY)))
 
 
 def ghost_variant(p: PuParams, g: float = 0.0, a_y_choice: float = -1.0) -> QuadHamiltonian:

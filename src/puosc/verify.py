@@ -73,18 +73,25 @@ def _pick(rng, options):
     return options[rng.integers(0, len(options))]
 
 
+def _uniform(rng, lo: float, hi: float, size=None):
+    """``rng.uniform(lo, hi, size)`` at less than half its cost: numpy
+    computes that draw as ``lo + (hi - lo) * rng.random(size)``, so this is
+    the same stream, the same bits and the same generator state after."""
+    return lo + (hi - lo) * rng.random(size)
+
+
 def random_params(rng) -> PuParams:
     """alpha in [-3, 3], |beta| in [0.1, 3] with a random sign."""
-    alpha = rng.uniform(-3.0, 3.0)
-    beta = rng.uniform(0.1, 3.0) * _pick(rng, _SIGNS)
+    alpha = _uniform(rng, -3.0, 3.0)
+    beta = _uniform(rng, 0.1, 3.0) * _pick(rng, _SIGNS)
     return PuParams(alpha, beta)
 
 
 def random_freq_params(rng) -> PuParams:
     """Frequencies in [0.4, 2.5] whose squares differ by at least 0.1."""
     while True:
-        w1 = rng.uniform(0.4, 2.5)
-        w2 = rng.uniform(0.4, 2.5)
+        w1 = _uniform(rng, 0.4, 2.5)
+        w2 = _uniform(rng, 0.4, 2.5)
         if abs(w1 * w1 - w2 * w2) >= 0.1:
             return PuParams.from_frequencies(w1, w2)
 
@@ -92,7 +99,7 @@ def random_freq_params(rng) -> PuParams:
 def _regime_params(regime: str, rng) -> PuParams:
     """Equal frequencies in [0.5, 2] for the degenerate regime, else random_freq_params."""
     if regime == "degenerate":
-        w = float(rng.uniform(0.5, 2.0))
+        w = _uniform(rng, 0.5, 2.0)
         return PuParams.from_frequencies(w, w)
     return random_freq_params(rng)
 
@@ -100,16 +107,16 @@ def _regime_params(regime: str, rng) -> PuParams:
 def admissible_spec(kind: str, p: PuParams, rng) -> transform.TransformSpec:
     """A catalog transformation at drawn free parameters; raises PuError
     when the draw hits an excluded value or a complex branch."""
-    ax = float(rng.uniform(0.3, 2.0) * _pick(rng, _SIGNS))
-    ay = float(rng.uniform(0.3, 2.0) * _pick(rng, _SIGNS))
-    g = float(rng.uniform(-0.5, 0.5))
+    ax = _uniform(rng, 0.3, 2.0) * _pick(rng, _SIGNS)
+    ay = _uniform(rng, 0.3, 2.0) * _pick(rng, _SIGNS)
+    g = _uniform(rng, -0.5, 0.5)
     if kind.startswith("Ta"):
         return transform.build(kind, p, ax=ax, ay=ay, g=g)
     if kind == "Tb1":
-        return transform.build(kind, p, ax=ax, bx=float(rng.uniform(-3.0, 3.0)),
+        return transform.build(kind, p, ax=ax, bx=_uniform(rng, -3.0, 3.0),
                                g=g if g != 0.0 else 0.3)
     return transform.build(kind, p, ax=ax,
-                           by=float(rng.uniform(0.3, 2.0) * _pick(rng, _SIGNS)), g=g)
+                           by=_uniform(rng, 0.3, 2.0) * _pick(rng, _SIGNS), g=g)
 
 
 @_memoized
@@ -166,7 +173,7 @@ def _span_residual(span, target) -> float:
 
 def _kernels(p, rng):
     n = int(rng.integers(2, 6))
-    a = rng.uniform(-2.0, 2.0, (n, n))
+    a = _uniform(rng, -2.0, 2.0, (n, n))
     if abs(np.linalg.det(a)) < 1e-3:
         return ()
     return (np.max(np.abs(a @ linalg.inverse(a) - np.eye(n))),
@@ -240,7 +247,7 @@ def _x4_pair(p, rng):
 
 def _combined_flow(p, rng):
     pp = random_freq_params(rng)
-    c1, c2 = rng.uniform(-3.0, 3.0, 2)
+    c1, c2 = _uniform(rng, -3.0, 3.0, 2)
     try:
         cs = hierarchy.combine(pp, c1, c2)
     except PuError:
@@ -251,7 +258,7 @@ def _combined_flow(p, rng):
 def _pd_window(p, rng):
     """1.0 when the window of a drawn (c1, c2) disagrees with Sylvester's test."""
     pp = random_freq_params(rng)
-    c1, c2 = rng.uniform(-3.0, 3.0, 2)
+    c1, c2 = _uniform(rng, -3.0, 3.0, 2)
     w1, w2 = pp.frequencies()
     b1 = (c1 * w1 * w1 - c2) * (w1 * w1 - w2 * w2)
     b2 = (c1 * w2 * w2 - c2) * (w2 * w2 - w1 * w1)
@@ -267,21 +274,21 @@ def _pd_window(p, rng):
 def _axis_window(p, rng):
     """inf when a draw on the c1 = 0 or the c2 = 0 axis passes the window."""
     pp = random_freq_params(rng)
-    on_c1_axis = hierarchy.pd_window(pp, 0.0, float(rng.uniform(0.2, 3.0)))
-    on_c2_axis = hierarchy.pd_window(pp, float(rng.uniform(0.2, 3.0)), 0.0)
+    on_c1_axis = hierarchy.pd_window(pp, 0.0, _uniform(rng, 0.2, 3.0))
+    on_c2_axis = hierarchy.pd_window(pp, _uniform(rng, 0.2, 3.0), 0.0)
     return _holds(not (on_c1_axis or on_c2_axis))
 
 
 def _window_solvable(p, rng):
     """inf unless, for each frequency order, one of 400 drawn (c1, c2) is in the window."""
-    found = [any(hierarchy.pd_window(pp, c1, c2) for c1, c2 in rng.uniform(-3.0, 3.0, (400, 2)))
+    found = [any(hierarchy.pd_window(pp, c1, c2) for c1, c2 in _uniform(rng, -3.0, 3.0, (400, 2)))
              for pp in (PuParams.from_frequencies(2.0, 1.0), PuParams.from_frequencies(1.0, 2.0))]
     return _holds(all(found))
 
 
 def _pd_decomposition(p, rng):
     pp = random_freq_params(rng)
-    c1, c2 = rng.uniform(-3.0, 3.0, 2)
+    c1, c2 = _uniform(rng, -3.0, 3.0, 2)
     try:
         cs = hierarchy.combine(pp, c1, c2)
         dec = hierarchy.pd_decompose(pp, c1, c2)
@@ -294,9 +301,9 @@ def _pd_decomposition(p, rng):
 def _closed_form_flows(regime, p, rng):
     pp = _regime_params(regime, rng)
     gens = symmetry.standard_basis(pp)
-    amps = rng.uniform(-1.0, 1.0, 4)
-    t = float(rng.uniform(0.0, 10.0))
-    s = float(rng.uniform(0.0, 2.0))
+    amps = _uniform(rng, -1.0, 1.0, 4)
+    t = _uniform(rng, 0.0, 10.0)
+    s = _uniform(rng, 0.0, 2.0)
     values = []
     for name, gen in (("X2", gens[1]), ("X3", gens[2]), ("X4", gens[3])):
         v0 = symmetry.closed_form_flow(name, regime, amps, pp, t, 0.0)
@@ -308,8 +315,8 @@ def _closed_form_flows(regime, p, rng):
 
 def _ode_residual(regime, p, rng):
     pp = _regime_params(regime, rng)
-    sol = dynamics.ClassicalSolution(pp, tuple(rng.uniform(-1.0, 1.0, 4)), regime)
-    t = float(rng.uniform(0.0, 10.0))
+    sol = dynamics.ClassicalSolution(pp, tuple(_uniform(rng, -1.0, 1.0, 4)), regime)
+    t = _uniform(rng, 0.0, 10.0)
     v = dynamics.eval_solution(sol, t)
     vdot_last = float((companion_field(pp) @ v.as_array())[3])
     # q'''' from one more exact derivative
@@ -346,7 +353,7 @@ def _round_trip(p, rng):
         spec = admissible_spec(kind, pp, rng)
     except PuError:
         return None
-    v = PhaseState(*rng.uniform(-2.0, 2.0, 4))
+    v = PhaseState(*_uniform(rng, -2.0, 2.0, 4))
     back = transform.inverse(spec, transform.forward(spec, v))
     return (np.max(np.abs(back.as_array() - v.as_array())),)
 
@@ -373,7 +380,7 @@ def _flow_tensor(p, rng):
     except PuError:
         return None
     return (flow_residual(jt, combined_form(pp, c3, c4), pp),
-            transform.canonical_bracket_residual(spec, pp))
+            transform.canonical_bracket_residual(spec, jt))
 
 
 def _tensor_accepted(p, rng):
@@ -394,7 +401,7 @@ def _tensor_accepted(p, rng):
 
 def _j1_reduction(p, rng):
     pp = random_freq_params(rng)
-    g = float(rng.uniform(-0.4, 0.4))
+    g = _uniform(rng, -0.4, 0.4)
     radicand = pp.alpha ** 2 - 4.0 * pp.beta - 4.0 * g
     if radicand <= 1e-3:
         return ()
@@ -430,7 +437,7 @@ def _pushforward(p, rng):
         spec = admissible_spec(_pick(rng, ("Ta2+", "Tb1")), pp, rng)
     except PuError:
         return None
-    c1, c2 = rng.uniform(-2.0, 2.0, 2)
+    c1, c2 = _uniform(rng, -2.0, 2.0, 2)
     table = transform.pushforward_brackets(spec, combined_tensor(pp, c1, c2))
     mu0, _, mu2 = spec.mu
     nu0, _, nu2 = spec.nu
@@ -479,7 +486,7 @@ def _tb1_window(p, rng):
     """1.0 when the Tb1 window at a drawn bx disagrees with Sylvester's test."""
     pp = random_freq_params(rng)
     w1, w2 = pp.frequencies()
-    bx = float(rng.uniform(0.0, 1.3 * max(w1, w2) ** 2))
+    bx = _uniform(rng, 0.0, 1.3 * max(w1, w2) ** 2)
     if min(abs(bx - w1 * w1), abs(bx - w2 * w2)) < 1e-4:
         return ()
     form = transform.transformed_form("Tb1", pp, bx=bx)
@@ -500,7 +507,7 @@ def _ta2_pieces(p, rng):
     inside the window is not positive semidefinite."""
     pp = random_freq_params(rng)
     w1, w2 = pp.frequencies()
-    g = float(rng.uniform(-0.45, 0.45)) * abs(w1 * w1 - w2 * w2)
+    g = _uniform(rng, -0.45, 0.45) * abs(w1 * w1 - w2 * w2)
     try:
         dec = transform.pd_decompose_transformed("Ta2", pp, g=g)
     except PuError:
@@ -515,8 +522,8 @@ def _tb1_pieces(p, rng):
     pp = random_freq_params(rng)
     w1, w2 = pp.frequencies()
     lo, hi = sorted((w1 * w1, w2 * w2))
-    bx = float(rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)))
-    g = float(rng.uniform(0.3, 1.5) * _pick(rng, _SIGNS))
+    bx = _uniform(rng, lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
+    g = _uniform(rng, 0.3, 1.5) * _pick(rng, _SIGNS)
     try:
         dec = transform.pd_decompose_transformed("Tb1", pp, bx=bx, g=g)
     except PuError:
@@ -526,9 +533,9 @@ def _tb1_pieces(p, rng):
 
 def _sm_embedding(p, rng):
     pp = random_freq_params(rng)
-    mu_w = float(rng.uniform(0.3, 2.0))
-    mu_z = float(rng.uniform(0.3, 2.0))
-    tau_sm = float(rng.uniform(0.5, 1.5))
+    mu_w = _uniform(rng, 0.3, 2.0)
+    mu_z = _uniform(rng, 0.3, 2.0)
+    tau_sm = _uniform(rng, 0.5, 1.5)
     branch = int(_pick(rng, _SIGNS))
     try:
         emb = transform.sm_embedding(pp, mu_w, mu_z, tau_sm, branch)
@@ -538,7 +545,7 @@ def _sm_embedding(p, rng):
     hq = combined_form(pp, c3, c4)
     values = []
     for _ in range(20):
-        v = PhaseState(*rng.uniform(-1.0, 1.0, 4))
+        v = PhaseState(*_uniform(rng, -1.0, 1.0, 4))
         hsm = emb.h_sm.value(emb.state(v))
         values.append(abs(hsm - emb.scale * hq.value(v)) / (1.0 + abs(hsm)))
     jt = transform.flow_preserving_tensor(pp, c3, c4)
@@ -559,7 +566,8 @@ def _reference_orbit(pp: PuParams) -> dynamics.Trajectory:
     """
     v0 = dynamics.eval_solution(_reference_solution(pp), 0.0)
     orbit = dynamics.integrate(dynamics.LinearField(pp), v0, 1e-3, 50.0)
-    orbit.times.flags.writeable = orbit.states.flags.writeable = False
+    orbit.times.setflags(write=False)
+    orbit.states.setflags(write=False)
     return orbit
 
 

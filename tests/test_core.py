@@ -223,7 +223,17 @@ _EXACT_SITES = {
     "pullback-tb2": lambda f, g: transform.pullback_form(
         transform.build("Tb2-", _P21, ax=0.7, by=-1.3, g=0.4), _P21),
     "square-piece": lambda f, g: _square_piece(-0.6, 4.0, 1.0),
+    # R S_n comes out asymmetric by rounding at these frequencies
+    "next-charge": lambda f, g: charge_ladder(PuParams.from_frequencies(1.7, 0.6), 5).charges[-1],
+    "discovery-form": lambda f, g: dynamics.structure_discovery(_P21).pairs[0][1],
 }
+# the literals at parameters whose signed zeros reach the matrix; a fresh
+# PuParams per call, so that neither path reads the other's memo
+_EXACT_SITES.update({
+    f"{build.__name__}@{alpha},{beta}":
+        lambda f, g, build=build, p=(alpha, beta): build(PuParams(*p))
+    for build in (hamiltonian_h1, hamiltonian_h2, ostrogradsky_hamiltonian)
+    for alpha, beta in ((0.0, 0.0), (-0.0, -0.0), (-0.0, 4.0))})
 
 
 class TestExactConstruction:

@@ -12,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 import puosc
 from puosc.core import PuParams, companion_field, hamiltonian_h1, poisson_j1
 from puosc.errors import InvalidInputError, SingularMatrixError
-from puosc.linalg import as_matrix, expm, frobenius, inverse, leading_minors, nullspace
+from puosc.linalg import (as_matrix, expm, frobenius, inverse, leading_minors, nullspace,
+                          require_finite)
 
 
 def brute_det(m):
@@ -188,6 +189,18 @@ class TestFrobeniusBits:
         with np.errstate(all="ignore"):
             for v in _views(a):
                 assert np.float64(frobenius(v)).tobytes() == np.linalg.norm(v).tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+                  elements=st.one_of(st.floats(), st.sampled_from(
+                      [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, math.inf, -math.inf]))))
+def test_require_finite_refuses_exactly_the_non_finite(a):
+    if np.isfinite(a).all():
+        require_finite(a)
+    else:
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            require_finite(a)
 
 
 def _bare_norm_calls(tree):

@@ -254,7 +254,8 @@ class TestPushforward:
         for _ in range(15):
             p = random_freq_params(rng)
             spec = draw_spec(kind, p, rng)
-            assert canonical_bracket_residual(spec, p) <= 1e-10
+            jt = flow_preserving_tensor(p, *pullback_hamiltonian(spec, p))
+            assert canonical_bracket_residual(spec, jt) <= 1e-10
 
     def test_generic_x_px_entry(self, p54, rng):
         spec = draw_spec("Ta2+", p54, rng)
@@ -453,7 +454,7 @@ class TestSmEmbedding:
         jt = flow_preserving_tensor(p54, c3, c4)
         hbar = c3 * hamiltonian_h1(p54) + c4 * hamiltonian_h2(p54)
         assert flow_residual(jt, hbar, p54) <= 1e-10
-        assert canonical_bracket_residual(emb.spec, p54) <= 1e-10
+        assert canonical_bracket_residual(emb.spec, jt) <= 1e-10
 
     def test_complex_branch_rejected(self, p54):
         # huge Omega makes delta negative

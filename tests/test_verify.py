@@ -10,11 +10,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PKG_ROOT, run_cli, verify_check
 from puosc import dynamics, hierarchy, transform, verify
 from puosc.core import PuParams, poisson_j1
-from puosc.verify import _over_draws, _worst
+from puosc.verify import _over_draws, _uniform, _worst
 
 
 def _replay(draws):
@@ -71,6 +73,22 @@ class TestWorst:
         assert check(0.5, None, None) == (True, 0.5, 7)
 
 
+_BOUND = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 3.0]), st.floats(-1e6, 1e6))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(0, 2**64 - 1), _BOUND, _BOUND,
+       st.sampled_from([None, 1, 4, (3, 3), (400, 2)]))
+def test_uniform_draws_the_bits_of_rng_uniform(seed, a, b, size):
+    lo, hi = sorted((a, b))  # rng.uniform refuses hi < lo
+    got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        fast, slow = _uniform(got, lo, hi, size), ref.uniform(lo, hi, size)
+        assert type(fast) is type(slow)
+        assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
+    assert got.bit_generator.state == ref.bit_generator.state
+
+
 # {file name: argv} of every tools/snapshot.py output
 _SNAPSHOT = dict(runpy.run_path(os.path.join(PKG_ROOT, "tools", "snapshot.py"))["commands"]())
 
@@ -96,10 +114,11 @@ def test_verify_bytes_match_the_snapshot_manifest(seed, code, tmp_path):
     assert _snapshot_exit_code(f"verify-{seed}.json", tmp_path) == code
 
 
-@pytest.mark.parametrize("name", [name for name in _SNAPSHOT
-                                  if not name.startswith(("verify-", "simulate-"))])
+@pytest.mark.parametrize("name", [name for name in _SNAPSHOT if name == "simulate-readme.csv"
+                                  or not name.startswith(("verify-", "simulate-"))])
 def test_quick_outputs_match_the_snapshot_manifest(name, tmp_path):
-    """The snapshot outputs that take milliseconds, gated on every run."""
+    """The snapshot outputs that take at most a fraction of a second, gated
+    on every run; the README's ``simulate`` starts from ``eval_solution``."""
     _snapshot_exit_code(name, tmp_path)
 
 
