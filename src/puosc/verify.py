@@ -76,7 +76,8 @@ def _pick(rng, options):
 def _uniform(rng, lo: float, hi: float, size=None):
     """``rng.uniform(lo, hi, size)`` at less than half its cost: numpy
     computes that draw as ``lo + (hi - lo) * rng.random(size)``, so this is
-    the same stream, the same bits and the same generator state after."""
+    the same stream, the same bits and the same generator state after.
+    It does not refuse hi < lo as numpy does; no call here passes that."""
     return lo + (hi - lo) * rng.random(size)
 
 
