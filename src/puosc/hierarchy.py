@@ -155,20 +155,24 @@ def _singular_pair(p: PuParams, a: float, b: float, d: float) -> bool:
     return abs(d) <= 1e-10 * (b * b + abs(p.alpha * a * b) + abs(p.beta) * a * a)
 
 
-def combine(p: PuParams, c1: float, c2: float) -> CombinedStructure:
-    """Flow-preserving combination Jbar = c1 J1 + c2 J2, Hbar = c3 H1 + c4 H2.
+def hbar_coefficients(p: PuParams, c1: float, c2: float) -> tuple[float, float]:
+    """The (c3, c4) of Hbar = c3 H1 + c4 H2 that Jbar = c1 J1 + c2 J2 pairs with.
 
-    The (c3, c4) coefficients divide by (c2 - c1 w1^2)(c2 - c1 w2^2) =
-    c2^2 - alpha c1 c2 + beta c1^2; the c3 numerator is c1 * w1^2 * w2^2
-    = c1 * beta (the frequency-symmetric reading, confirmed by the flow
-    residual at random parameters).
+    They divide by (c2 - c1 w1^2)(c2 - c1 w2^2) = c2^2 - alpha c1 c2 + beta c1^2;
+    the c3 numerator is c1 * w1^2 * w2^2 = c1 * beta (the frequency-symmetric
+    reading, confirmed by the flow residual at random parameters).
     """
     denom = c2 * c2 - p.alpha * c1 * c2 + p.beta * c1 * c1
     if _singular_pair(p, c1, c2, denom):
         raise DegenerateCombinationError(
             f"c2 = c1*omega_i^2 within tolerance (denominator {denom:.3e})")
-    c3 = c1 * p.beta / denom
-    c4 = c2 / denom
+    return c1 * p.beta / denom, c2 / denom
+
+
+def combine(p: PuParams, c1: float, c2: float) -> CombinedStructure:
+    """Flow-preserving combination Jbar = c1 J1 + c2 J2, Hbar = c3 H1 + c4 H2,
+    with (c3, c4) from ``hbar_coefficients``."""
+    c3, c4 = hbar_coefficients(p, c1, c2)
     return CombinedStructure(c1, c2, c3, c4, combined_tensor(p, c1, c2),
                              combined_form(p, c3, c4))
 

@@ -266,10 +266,10 @@ def _pd_window(p, rng):
     if min(abs(b1), abs(b2)) < 1e-6:
         return None  # too close to the window boundary for a strict sign test
     try:
-        cs = hierarchy.combine(pp, c1, c2)
+        hbar = combined_form(pp, *hierarchy.hbar_coefficients(pp, c1, c2))
     except PuError:
         return None
-    return (float(hierarchy.pd_window(pp, c1, c2) != linalg.is_positive_definite(cs.hbar.matrix)),)
+    return (float(hierarchy.pd_window(pp, c1, c2) != linalg.is_positive_definite(hbar.matrix)),)
 
 
 def _axis_window(p, rng):
@@ -291,12 +291,12 @@ def _pd_decomposition(p, rng):
     pp = random_freq_params(rng)
     c1, c2 = _uniform(rng, -3.0, 3.0, 2)
     try:
-        cs = hierarchy.combine(pp, c1, c2)
+        hbar = combined_form(pp, *hierarchy.hbar_coefficients(pp, c1, c2)).matrix
         dec = hierarchy.pd_decompose(pp, c1, c2)
     except PuError:
         return None
     total = dec.h12.matrix + dec.h21.matrix
-    return (linalg.frobenius(total - cs.hbar.matrix) / (1.0 + linalg.frobenius(cs.hbar.matrix)),)
+    return (linalg.frobenius(total - hbar) / (1.0 + linalg.frobenius(hbar)),)
 
 
 def _closed_form_flows(regime, p, rng):
