@@ -53,12 +53,11 @@ the largest float) did the three builds raise while one build may not.
 
 The structures that depend on (alpha, beta) alone are built once per
 ``PuParams`` instance: ``companion_field``, ``hamiltonian_h1``/``h2``,
-``poisson_j1``/``j2``, ``hierarchy.recursion_operator``, the (H1, H2) basis
-of ``hierarchy.coefficients_on_h1h2``, ``symmetry.standard_basis``, and in
-``verify`` the reference orbit of its two RK4 checks and the omega = (2, 1)
-stand-in for degenerate parameters.  The first call stores its result in the
-instance's ``__dict__`` and later calls return that same object, so every
-array it hands out is read-only.  The memo lives and dies with its instance:
+``poisson_j1``/``j2``, ``hierarchy.recursion_operator``,
+``symmetry.standard_basis``, and in ``verify`` the reference orbit of its
+two RK4 checks and the omega = (2, 1) stand-in for degenerate parameters.
+The first call stores its result in the instance's ``__dict__`` and later
+calls return that same object, so every array it hands out is read-only.  The memo lives and dies with its instance:
 there is no global cache to size or clear, and equal but distinct parameters
 (alpha = 0.0 and alpha = -0.0) keep their own signed zeros.  A memoized
 value must not hold its ``PuParams``, not even through a field or a solution

@@ -81,24 +81,39 @@ def charge_ladder(p: PuParams, depth: int = 4) -> ChargeLadder:
     return ChargeLadder(tuple(charges))
 
 
-@_memoized
-def _h1h2_basis(p: PuParams) -> np.ndarray:
-    """The 16x2 matrix whose columns are H1 and H2 flattened."""
-    basis = np.column_stack([hamiltonian_h1(p).matrix.ravel(),
-                             hamiltonian_h2(p).matrix.ravel()])
-    basis.setflags(write=False)
-    return basis
-
-
 def coefficients_on_h1h2(p: PuParams, h: QuadHamiltonian) -> tuple[float, float]:
-    """Least-squares coordinates of a charge in the (H1, H2) plane."""
-    basis = _h1h2_basis(p)
-    target = h.matrix.ravel()
-    coeff, _, _, _ = np.linalg.lstsq(basis, target, rcond=None)
-    residual = frobenius(basis @ coeff - target)
-    if residual > 1e-10 * (1.0 + frobenius(target)):
-        raise InvalidInputError(f"form is not in the (H1, H2) plane (residual {residual:.3e})")
-    return float(coeff[0]), float(coeff[1])
+    """The coordinates (c1, c2) of a form S in the (H1, H2) plane.
+
+    Cramer's rule solves the normal equations G c = (<H1, S>, <H2, S>) of
+    c1 H1 + c2 H2 ~ S in Python floats; <Hi, S> reads the six positions where
+    H1 or H2 is nonzero, and with (a, b) = (alpha, beta) the Gram matrix is
+    G = [[a^2 + b^2 + 3, -a (b + 1)], [-a (b + 1), a^2 + 3 b^2 + 1]].  It is
+    well conditioned for every (a, b): |cos angle(H1, H2)| <= 1/sqrt(2),
+    ||H1||^2 / ||H2||^2 is in [1/3, 3], and cond(G) <= 3, for
+    16 det G - 3 (tr G)^2 = 4 (a^2 - 4 b)^2.  H1 and H2 are scaled by the
+    power of two below max(|a|, |b|, 1), S by the one below its largest entry
+    (or 2^-1000).  That is exact, so c has the bits of the unscaled solve
+    wherever that neither overflows nor underflows, and no finite input
+    overflows.  Raises InvalidInputError unless the residual
+    ||c1 H1 + c2 H2 - S||_F is at most 1e-10 (1 + ||S||_F), so a nan raises.
+    """
+    s = math.ldexp(1.0, -math.frexp(max(abs(p.alpha), abs(p.beta), 1.0))[1])
+    a, b = p.alpha * s, p.beta * s
+    flat = h.matrix.ravel().tolist()
+    t = math.ldexp(1.0, -math.frexp(max(max(flat), -min(flat), 2.0 ** -1000))[1])
+    entries = [x * t for x in flat]
+    s00, s01, s02, s03, s10, s11, s12, s13, s20, s21, s22, s23, s30, s31, s32, s33 = entries
+    g11, g12, g22 = a * a + b * b + 3.0 * s * s, -a * (b + s), a * a + 3.0 * b * b + s * s
+    r1 = -b * s00 - a * s11 + s * s22 - s * (s13 + s31)
+    r2 = b * s11 - a * s22 - s * s33 - b * (s02 + s20)
+    det = g11 * g22 - g12 * g12
+    d1, d2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
+    residual = math.hypot(s01, s03, s10, s12, s21, s23, s30, s32,
+                          -b * d1 - s00, -a * d1 + b * d2 - s11, s * d1 - a * d2 - s22,
+                          -s * d2 - s33, -s * d1 - s13, -s * d1 - s31, -b * d2 - s02, -b * d2 - s20)
+    if not residual <= 1e-10 * (t + math.hypot(*entries)):
+        raise InvalidInputError(f"form is not in the (H1, H2) plane (residual {residual / t:.3e})")
+    return d1 * (s / t), d2 * (s / t)
 
 
 def pu_polynomial(n: int, p: PuParams) -> float:
@@ -160,8 +175,7 @@ def hbar_coefficients(p: PuParams, c1: float, c2: float) -> tuple[float, float]:
 
     They divide by (c2 - c1 w1^2)(c2 - c1 w2^2) = c2^2 - alpha c1 c2 + beta c1^2;
     the c3 numerator is c1 * w1^2 * w2^2 = c1 * beta (the frequency-symmetric
-    reading, confirmed by the flow residual at random parameters).
-    """
+    reading, confirmed by the flow residual at random parameters)."""
     denom = c2 * c2 - p.alpha * c1 * c2 + p.beta * c1 * c1
     if _singular_pair(p, c1, c2, denom):
         raise DegenerateCombinationError(
@@ -170,8 +184,7 @@ def hbar_coefficients(p: PuParams, c1: float, c2: float) -> tuple[float, float]:
 
 
 def combine(p: PuParams, c1: float, c2: float) -> CombinedStructure:
-    """Flow-preserving combination Jbar = c1 J1 + c2 J2, Hbar = c3 H1 + c4 H2,
-    with (c3, c4) from ``hbar_coefficients``."""
+    """Flow-preserving Jbar = c1 J1 + c2 J2 and Hbar (``hbar_coefficients``)."""
     c3, c4 = hbar_coefficients(p, c1, c2)
     return CombinedStructure(c1, c2, c3, c4, combined_tensor(p, c1, c2),
                              combined_form(p, c3, c4))

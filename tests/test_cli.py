@@ -17,7 +17,7 @@ from puosc.cli import build_parser
 _AMPLITUDES = {"--A1": ("1", "0"), "--A2": ("0", "1"), "--B1": ("0", "1"), "--B2": ("1", "0")}
 _RUNS = [  # (argv, {option: (value, other value)}) of quick runs; None leaves it out
     (["verify"], {"--seed": ("0", "1")}),
-    (["hierarchy"], {"--n": ("2", "3"), "--format": ("csv", "json")}),
+    (["hierarchy"], {"--n": ("3", "4"), "--format": ("csv", "json")}),
     (["transform"], {"--kind": ("Tb1", "Ta2+"), "--ax": ("1", "2"), "--bx": ("0.5", "1.5"),
                      "--g": ("1", "0.5")}),
     (["transform", "--kind", "Ta2+"], {"--ay": ("1", "2")}),

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 from conftest import assert_memoized
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from puosc import hierarchy
-from puosc.core import (PuParams, QuadHamiltonian, companion_field, flow_residual,
+from puosc.core import (PuParams, QuadHamiltonian, combined_form, companion_field, flow_residual,
                         hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2)
 from puosc.errors import (DecompositionUndefinedError, DegenerateCombinationError,
-                          ParameterDomainError, RecursionBreakdownError)
-from puosc.hierarchy import (_h1h2_basis, charge_ladder, coefficients_on_h1h2,
+                          InvalidInputError, ParameterDomainError, RecursionBreakdownError)
+from puosc.hierarchy import (charge_ladder, coefficients_on_h1h2,
                              combine, involution_residual, ladder_via_x3,
                              next_charge, pd_decompose, pd_window, pu_polynomial,
                              recursion_operator, x3_action_ladder, x4_pair)
@@ -17,7 +19,7 @@ from puosc.verify import random_freq_params, random_params
 
 
 class TestMemo:
-    @pytest.mark.parametrize("fn", [recursion_operator, _h1h2_basis, standard_basis],
+    @pytest.mark.parametrize("fn", [recursion_operator, standard_basis],
                              ids=lambda fn: fn.__name__)
     def test_one_shared_read_only_build_per_params(self, fn):
         assert_memoized(fn, lambda: PuParams(-1.5, 0.7))
@@ -73,6 +75,59 @@ class TestRecursion:
     def test_breakdown_on_nonintegrable_form(self, p54):
         with pytest.raises(RecursionBreakdownError):
             next_charge(p54, QuadHamiltonian(np.diag([1.0, 0.0, 0.0, 0.0])))
+
+
+_FINITE = st.floats(-1e300, 1e300)  # with +-0.0 and subnormals
+
+
+def _plane_form(alpha, beta, c3, c4):
+    """(p, c3 H1 + c4 H2), or a rejected example where that form overflows."""
+    p = PuParams(alpha, beta)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return p, combined_form(p, c3, c4)
+    except InvalidInputError:
+        reject()
+
+
+class TestPlaneCoordinates:
+    def test_integral_ladder_is_exact(self, p54):
+        got = [coefficients_on_h1h2(p54, h) for h in charge_ladder(p54, 6).charges]
+        assert got == [(1.0, 0.0), (0.0, 1.0), (-4.0, -5.0), (20.0, 21.0),
+                       (-84.0, -85.0), (340.0, 341.0)]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_FINITE, _FINITE, _FINITE, _FINITE)
+    @example(1e200, 1e200, 0.5, -2.0)
+    @example(-0.0, 0.0, 5e-324, -0.0)
+    @example(0.3, 0.7, 3e-320, -7e-321)
+    @example(1.0, 1.0, 8e307, 0.0)
+    def test_round_trip(self, alpha, beta, c3, c4):
+        p, form = _plane_form(alpha, beta, c3, c4)
+        bound = 1e-14 * (abs(c3) + abs(c4))
+        got = coefficients_on_h1h2(p, form)
+        assert abs(got[0] - c3) <= bound and abs(got[1] - c4) <= bound
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_FINITE, _FINITE, _FINITE, _FINITE,
+           st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]), st.sampled_from([-1.0, 1.0]))
+    @example(1.0, 1.0, 1e200, 0.0, (0, 1), 1.0)
+    def test_entry_off_the_plane_raises(self, alpha, beta, c3, c4, at, sign):
+        p, form = _plane_form(alpha, beta, c3, c4)
+        s = form.matrix.copy()
+        s[at] = s[at[::-1]] = sign * 1e-8 * (1.0 + np.abs(s).max())
+        with np.errstate(over="ignore"):  # the public symmetry test's norm
+            form = QuadHamiltonian(s)
+        with pytest.raises(InvalidInputError, match="not in the .H1, H2. plane"):
+            coefficients_on_h1h2(p, form)
+
+    def test_nan_residual_raises(self, p54):
+        # no finite form makes the residual nan; a matrix that holds one
+        # stands for an intermediate that did
+        form = QuadHamiltonian._exact(np.eye(4))
+        object.__setattr__(form, "matrix", np.full((4, 4), np.nan))
+        with pytest.raises(InvalidInputError, match="residual nan"):
+            coefficients_on_h1h2(p54, form)
 
 
 class TestPolynomials:
