@@ -91,11 +91,12 @@ def coefficients_on_h1h2(p: PuParams, h: QuadHamiltonian) -> tuple[float, float]
     well conditioned for every (a, b): |cos angle(H1, H2)| <= 1/sqrt(2),
     ||H1||^2 / ||H2||^2 is in [1/3, 3], and cond(G) <= 3, for
     16 det G - 3 (tr G)^2 = 4 (a^2 - 4 b)^2.  H1 and H2 are scaled by the
-    power of two below max(|a|, |b|, 1), S by the one below its largest entry
-    (or 2^-1000).  That is exact, so c has the bits of the unscaled solve
-    wherever that neither overflows nor underflows, and no finite input
-    overflows.  Raises InvalidInputError unless the residual
-    ||c1 H1 + c2 H2 - S||_F is at most 1e-10 (1 + ||S||_F), so a nan raises.
+    power of two that takes max(|a|, |b|, 1) into [1/2, 1), S by the one that
+    takes max(max |S_ij|, 2^-1000) there.  That is exact, so c has the bits
+    of the unscaled solve wherever that neither overflows nor underflows,
+    and no finite input overflows.  Raises InvalidInputError unless the
+    residual ||c1 H1 + c2 H2 - S||_F is at most 1e-10 (1 + ||S||_F), so a
+    nan residual raises too.
     """
     s = math.ldexp(1.0, -math.frexp(max(abs(p.alpha), abs(p.beta), 1.0))[1])
     a, b = p.alpha * s, p.beta * s
