@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ParameterDomainError
-from .linalg import as_matrix, frobenius, require_finite
+from .linalg import as_matrix, relative_residual, require_finite
 
 DEGENERACY_TOL = 1e-8  # the absolute |w1^2 - w2^2| at or below which p.degenerate holds
 _MEMO = "_memo"  # the key of a PuParams' memo dict in its __dict__
@@ -213,7 +213,7 @@ class QuadHamiltonian(_FrozenMatrix):
             _store(self, s, s + s)
         else:
             a = as_matrix(s, square=True)
-            if frobenius(a - a.T) > 1e-12 * (1.0 + frobenius(a)):
+            if not relative_residual(a, a.T) <= 1e-12:
                 raise InvalidInputError("Hamiltonian matrix is not symmetric")
             _store(self, 0.5 * (a + a.T))
 
@@ -259,7 +259,7 @@ class PoissonTensor(_FrozenMatrix):
             a = j
         else:
             a = as_matrix(j, square=True)
-            if frobenius(a + a.T) > 1e-12 * (1.0 + frobenius(a)):
+            if not relative_residual(a, -a.T) <= 1e-12:
                 raise InvalidInputError("Poisson tensor is not antisymmetric")
         _store(self, 0.5 * (a - a.T))
 
@@ -348,8 +348,7 @@ def combined_form(p: PuParams, c3: float, c4: float) -> QuadHamiltonian:
 
 def flow_residual(j: PoissonTensor, h: QuadHamiltonian, p: PuParams) -> float:
     """||J S - M|| / (1 + ||M||): zero iff (J, H) generates the oscillator flow."""
-    m = companion_field(p)
-    return frobenius(j.matrix @ h.matrix - m) / (1.0 + frobenius(m))
+    return relative_residual(j.matrix @ h.matrix, companion_field(p))
 
 
 def quad_bracket(j: PoissonTensor, f: QuadHamiltonian, g: QuadHamiltonian) -> QuadHamiltonian:

@@ -24,13 +24,12 @@ import numpy as np
 from .core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
                    companion_field, hamiltonian_h1, hamiltonian_h2,
                    poisson_j1, poisson_j2)
-from .errors import (ComplexBranchError, ConstructionError, DivergenceError,
-                     InconclusiveTestError, InvalidInputError,
-                     ParameterDomainError)
+from .errors import (ConstructionError, DivergenceError, InconclusiveTestError,
+                     InvalidInputError, ParameterDomainError)
 from .linalg import inverse, nullspace
 from .modes import phase_state
 from .symmetry import solution_terms
-from .transform import build, forward, inverse_jacobian
+from .transform import _sqrt_or_raise, build, forward, inverse_jacobian
 
 
 @dataclass(frozen=True)
@@ -367,10 +366,7 @@ def interaction_compatibility(p: PuParams, pot: Potential, rng) -> Compatibility
 def interaction_transform_constraint(p: PuParams, g: float) -> tuple[float, float]:
     """The (ax, ay) pair for which the two-dimensional system supports an
     arbitrary q-potential: ax = -ay = sqrt(alpha^2 - 4 beta - 4 g)."""
-    radicand = p.alpha ** 2 - 4.0 * p.beta - 4.0 * g
-    if radicand < 0.0:
-        raise ComplexBranchError(f"negative radicand {radicand:.6g} in interaction constraint")
-    r = math.sqrt(radicand)
+    r = _sqrt_or_raise(p.alpha ** 2 - 4.0 * p.beta - 4.0 * g, "interaction constraint")
     if r == 0.0:
         raise ConstructionError("radicand zero: ax = 0 conflicts with ax != 0")
     return r, -r

@@ -19,7 +19,7 @@ from .core import (PoissonTensor, PuParams, QuadHamiltonian, _memoized,
 from .errors import (DecompositionUndefinedError, DegenerateCombinationError,
                      InvalidInputError, ParameterDomainError,
                      RecursionBreakdownError)
-from .linalg import frobenius, inverse
+from .linalg import frobenius, inverse, relative_residual
 from .symmetry import act_on_hamiltonian, standard_basis
 
 MAX_LADDER_DEPTH = 8
@@ -63,9 +63,9 @@ def next_charge(p: PuParams, h: QuadHamiltonian) -> QuadHamiltonian:
     is the integrability certificate, so an asymmetric result is an error,
     never silently repaired."""
     product = recursion_operator(p) @ h.matrix
-    asym = frobenius(product - product.T)
-    if asym > 1e-10 * (1.0 + frobenius(product)):
-        raise RecursionBreakdownError(f"recursion step asymmetric by {asym:.3e}")
+    asym = relative_residual(product, product.T)
+    if not asym <= 1e-10:
+        raise RecursionBreakdownError(f"recursion step asymmetric by {asym:.3e} (relative)")
     return QuadHamiltonian._exact(0.5 * (product + product.T))
 
 

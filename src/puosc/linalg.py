@@ -12,7 +12,7 @@ bits and raises the same errors.  Its pivot is the row that
 ``np.argmax(np.abs(column))`` picks: the first largest magnitude, or the first
 nan when the column holds one (an overflow during elimination can make one).
 ``frobenius`` is ``np.linalg.norm``'s arithmetic for a norm without ``ord``
-or ``axis``, without its argument handling.
+or ``axis`` wherever its sum of squares is finite, without argument handling.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .errors import InvalidInputError, SingularMatrixError
 # order-8 remainder is below double rounding.
 _EXPM_ORDER = 8
 _EXPM_THETA = 0.1
+_NULL_TOL = 1e-12
 
 
 def require_finite(a: np.ndarray) -> None:
@@ -49,18 +50,16 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     return a
 
 
-def nullspace(m, tol: float = 1e-12) -> list[np.ndarray]:
+def nullspace(m) -> list[np.ndarray]:
     """Orthonormal kernel basis of ``m``.
 
     Uses the SVD as the rank-revealing factorization.  A right singular
-    vector v belongs to the kernel when ||m v|| = sigma <= tol*(1 + ||m||),
+    vector v belongs to the kernel when ||m v|| = sigma <= 1e-12 (1 + ||m||),
     which makes the returned span maximal under that residual bound.
     """
     a = as_matrix(m)
-    if not 0.0 < tol < math.inf:
-        raise InvalidInputError(f"tol must be positive and finite, got {tol!r}")
     _, sigma, vt = np.linalg.svd(a)
-    thresh = tol * (1.0 + frobenius(a))
+    thresh = _NULL_TOL * (1.0 + frobenius(a))
     basis = [vt[i] for i in range(len(sigma)) if sigma[i] <= thresh]
     # svd(full) rows beyond min(m, n) span the coordinate deficit exactly
     basis.extend(vt[i] for i in range(len(sigma), vt.shape[0]))
@@ -104,10 +103,20 @@ def inverse(m) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    """The Frobenius norm of a float array of any shape, with the bits of
-    ``np.linalg.norm(a)``."""
+    """The Frobenius norm of a float array of any shape: the bits of
+    ``np.linalg.norm(a)`` where its sum of squares is finite, else the norm of
+    a / max|a| scaled back, which is inf only when the norm exceeds every float."""
     x = a.ravel(order="K")
-    return math.sqrt(x.dot(x))
+    squares = x.dot(x)
+    if squares != math.inf:
+        return math.sqrt(squares)
+    top = float(np.max(np.abs(x)))  # no nan here: a nan makes the sum nan
+    return top if top == math.inf else top * frobenius(x / top)
+
+
+def relative_residual(x: np.ndarray, y: np.ndarray) -> float:
+    """||x - y||_F / (1 + ||y||_F): how far x misses y, relative to y."""
+    return frobenius(x - y) / (1.0 + frobenius(y))
 
 
 def expm(m) -> np.ndarray:
@@ -134,8 +143,7 @@ def leading_minors(m) -> list[float]:
     the criterion is meaningless there.
     """
     a = as_matrix(m, square=True)
-    scale = 1.0 + frobenius(a)
-    if frobenius(a - a.T) > 1e-10 * scale:
+    if not relative_residual(a, a.T) <= 1e-10:
         raise InvalidInputError("leading_minors requires a symmetric matrix")
     return [float(np.linalg.det(a[:k, :k])) for k in range(1, a.shape[0] + 1)]
 

@@ -169,7 +169,7 @@ def _holds(condition: bool) -> tuple[float]:
 def _span_residual(span, target) -> float:
     """Relative least-squares distance of target from the column span."""
     coef, _, _, _ = np.linalg.lstsq(span, target, rcond=None)
-    return linalg.frobenius(span @ coef - target) / (1.0 + linalg.frobenius(target))
+    return linalg.relative_residual(span @ coef, target)
 
 
 def _kernels(p, rng):
@@ -232,8 +232,7 @@ def _ladder_routes(p, rng):
     actions = hierarchy.x3_action_ladder(pp, 6)
     values = []
     for k in range(1, 7):
-        scale = 1.0 + linalg.frobenius(ladder[k].matrix)
-        values += [linalg.frobenius(route.matrix - ladder[k].matrix) / scale
+        values += [linalg.relative_residual(route.matrix, ladder[k].matrix)
                    for route in (hierarchy.ladder_via_x3(pp, k), actions[k])]
     return values
 
@@ -295,8 +294,7 @@ def _pd_decomposition(p, rng):
         dec = hierarchy.pd_decompose(pp, c1, c2)
     except PuError:
         return None
-    total = dec.h12.matrix + dec.h21.matrix
-    return (linalg.frobenius(total - hbar) / (1.0 + linalg.frobenius(hbar)),)
+    return (linalg.relative_residual(dec.h12.matrix + dec.h21.matrix, hbar),)
 
 
 def _closed_form_flows(regime, p, rng):

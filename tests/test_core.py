@@ -107,6 +107,11 @@ class TestHamiltonians:
         with pytest.raises(InvalidInputError):
             QuadHamiltonian([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_huge_asymmetric_matrix_rejected(self):
+        # the squares of 1e200 overflow; the symmetry test must not go void
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            QuadHamiltonian([[0.0, 1e200], [-1e200, 0.0]])
+
 
 class TestPoissonTensors:
     def test_j1_entries(self, p54):
@@ -127,6 +132,10 @@ class TestPoissonTensors:
     def test_j2_requires_beta(self):
         with pytest.raises(ParameterDomainError):
             poisson_j2(PuParams(5.0, 0.0))
+
+    def test_huge_symmetric_matrix_rejected(self):
+        with pytest.raises(InvalidInputError, match="not antisymmetric"):
+            PoissonTensor([[1e200, 1e200], [1e200, 0.0]])
 
 
 class TestFlowResidual:
