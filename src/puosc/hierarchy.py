@@ -17,7 +17,7 @@ from .core import (PoissonTensor, PuParams, QuadHamiltonian, _memoized,
                    combined_form, combined_tensor, hamiltonian_h1, hamiltonian_h2,
                    poisson_j1, poisson_j2, quad_bracket)
 from .errors import (DecompositionUndefinedError, DegenerateCombinationError,
-                     InvalidInputError, ParameterDomainError,
+                     InvalidInputError, ParameterDomainError, PuError,
                      RecursionBreakdownError)
 from .linalg import frobenius, inverse, relative_residual
 from .symmetry import act_on_hamiltonian, standard_basis
@@ -163,25 +163,25 @@ def x4_pair(p: PuParams) -> tuple[QuadHamiltonian, QuadHamiltonian]:
     return p.alpha * h1 + h2, -p.beta * h1
 
 
-def _singular_pair(p: PuParams, a: float, b: float, d: float) -> bool:
-    """True when d, the caller's value of b^2 - alpha a b + beta a^2, is zero to
-    1e-10 of its terms: the guard of (c1, c2) = (a, b) in ``combine`` and of
-    (c3, c4) = (b, a) in ``transform.tensor_coefficients``.  It reads no
-    frequencies, so ``combine`` still works where alpha^2 < 4 beta."""
-    return abs(d) <= 1e-10 * (b * b + abs(p.alpha * a * b) + abs(p.beta) * a * a)
+def _flow_pair_map(p: PuParams, a: float, b: float, error: type[PuError]) -> tuple[float, float]:
+    """F(a, b) = (a beta, b) / D(a, b), D(a, b) = b^2 - alpha a b + beta a^2.
+
+    Jbar = c1 J1 + c2 J2 and Hbar = c3 H1 + c4 H2 generate the same flow when
+    (c3, c4) = F(c1, c2), or equally (c2, c1) = F(c4, c3): D(c4, c3) =
+    beta / D(c1, c2).  D = (b - a w1^2)(b - a w2^2) reads no frequencies, so F
+    is defined where alpha^2 < 4 beta too.  Raises ``error`` where D is zero to
+    1e-10 of its terms."""
+    d = b * b - p.alpha * a * b + p.beta * a * a
+    if abs(d) <= 1e-10 * (b * b + abs(p.alpha * a * b) + abs(p.beta) * a * a):
+        raise error(f"coefficient pair (a, b) = ({a:.6g}, {b:.6g}) is singular:"
+                    f" b^2 - alpha a b + beta a^2 = {d:.3e}")
+    return a * p.beta / d, b / d
 
 
 def hbar_coefficients(p: PuParams, c1: float, c2: float) -> tuple[float, float]:
-    """The (c3, c4) of Hbar = c3 H1 + c4 H2 that Jbar = c1 J1 + c2 J2 pairs with.
-
-    They divide by (c2 - c1 w1^2)(c2 - c1 w2^2) = c2^2 - alpha c1 c2 + beta c1^2;
-    the c3 numerator is c1 * w1^2 * w2^2 = c1 * beta (the frequency-symmetric
-    reading, confirmed by the flow residual at random parameters)."""
-    denom = c2 * c2 - p.alpha * c1 * c2 + p.beta * c1 * c1
-    if _singular_pair(p, c1, c2, denom):
-        raise DegenerateCombinationError(
-            f"c2 = c1*omega_i^2 within tolerance (denominator {denom:.3e})")
-    return c1 * p.beta / denom, c2 / denom
+    """The (c3, c4) of Hbar = c3 H1 + c4 H2 that Jbar = c1 J1 + c2 J2 pairs
+    with: ``_flow_pair_map`` at (c1, c2)."""
+    return _flow_pair_map(p, c1, c2, DegenerateCombinationError)
 
 
 def combine(p: PuParams, c1: float, c2: float) -> CombinedStructure:

@@ -20,7 +20,7 @@ from .core import (PhaseState, PoissonTensor, PuParams, QuadHamiltonian,
 from .errors import (ComplexBranchError, ConstructionError,
                      DegenerateLegendreError, InvalidInputError,
                      NonInvertibleTransformError, SingularStructureError)
-from .hierarchy import (_pd_squared_frequencies, _singular_pair, _square_piece,
+from .hierarchy import (_flow_pair_map, _pd_squared_frequencies, _square_piece,
                         coefficients_on_h1h2)
 
 KINDS = ("Ta1+", "Ta1-", "Ta2+", "Ta2-", "Tb1", "Tb2+", "Tb2-")
@@ -270,20 +270,16 @@ def catalog_pullback_coefficients(spec: TransformSpec, p: PuParams) -> tuple[flo
 
 def flow_preserving_tensor(p: PuParams, c3: float, c4: float) -> PoissonTensor:
     """The tensor J_T making Hbar = c3 H1 + c4 H2 generate the original flow:
-    J_T = [c3 J1 + c4 w1^2 w2^2 J2] / ((c3 - c4 w1^2)(c3 - c4 w2^2))."""
+    J_T = (c3 J1 + c4 beta J2) / D with D = c3^2 - alpha c3 c4 + beta c4^2,
+    which is (c3 - c4 w1^2)(c3 - c4 w2^2).  It is defined wherever D != 0,
+    including alpha^2 < 4 beta."""
     return combined_tensor(p, *tensor_coefficients(p, c3, c4))
 
 
 def tensor_coefficients(p: PuParams, c3: float, c4: float) -> tuple[float, float]:
-    """(c1, c2) of the flow-preserving tensor; raises when c3 = c4 w_i^2."""
-    w1, w2 = p.frequencies()
-    d1 = c3 - c4 * w1 * w1
-    d2 = c3 - c4 * w2 * w2
-    denom = d1 * d2
-    if _singular_pair(p, c4, c3, denom):
-        raise SingularStructureError(
-            f"coefficients singular: c3 - c4*w^2 = ({d1:.3e}, {d2:.3e})")
-    return c3 / denom, c4 * p.beta / denom
+    """(c1, c2) of the flow-preserving tensor: ``hierarchy._flow_pair_map`` at
+    (c4, c3), reversed; raises where D = 0."""
+    return _flow_pair_map(p, c4, c3, SingularStructureError)[::-1]
 
 
 def pushforward_brackets(spec: TransformSpec, jbar: PoissonTensor) -> np.ndarray:

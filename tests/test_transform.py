@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from puosc.core import (PhaseState, PoissonTensor, PuParams, flow_residual,
                         hamiltonian_h1, hamiltonian_h2, poisson_j1, poisson_j2)
@@ -11,7 +13,7 @@ from puosc.errors import (ComplexBranchError, ConstructionError,
                           DecompositionUndefinedError, DegenerateCombinationError,
                           DegenerateLegendreError, InvalidInputError,
                           NonInvertibleTransformError, SingularStructureError)
-from puosc.hierarchy import combine
+from puosc.hierarchy import combine, hbar_coefficients
 from puosc.linalg import is_positive_definite, leading_minors
 from puosc.transform import (KINDS, XYState, build, canonical_bracket_residual,
                              catalog_pullback_coefficients, defining_residual,
@@ -22,6 +24,11 @@ from puosc.transform import (KINDS, XYState, build, canonical_bracket_residual,
                              sm_embedding, tau_of, tensor_coefficients,
                              transformed_form)
 from puosc.verify import admissible_spec, random_freq_params
+
+# finite, and far enough from overflow and underflow that the map's products
+# c^2 beta stay normal floats
+_FINITE = st.floats(-1e30, 1e30).filter(lambda x: x == 0.0 or abs(x) >= 1e-30)
+_EPS = np.finfo(float).eps
 
 
 def draw_spec(kind, p, rng):
@@ -246,6 +253,34 @@ class TestFlowPreservingTensor:
             combine(p54, a, b)
         with pytest.raises(SingularStructureError) if singular else contextlib.nullcontext():
             tensor_coefficients(p54, b, a)
+
+    def test_defined_where_the_frequencies_are_complex(self):
+        # alpha^2 < 4 beta: D = c3^2 - alpha c3 c4 + beta c4^2 needs no frequencies
+        p = PuParams(1.0, 4.0)
+        assert np.array_equal(flow_preserving_tensor(p, 1.0, 0.0).matrix, poisson_j1(p).matrix)
+        assert combine(p, 1.0, 0.0).c3 == 1.0
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_FINITE, _FINITE.filter(lambda x: x != 0.0), _FINITE, _FINITE)
+    @example(5.0, 4.0, 1.0, 4.0)  # D = 0
+    def test_one_map_both_ways(self, alpha, beta, c1, c2):
+        """hbar_coefficients and tensor_coefficients refuse on the same set, and
+        tensor_coefficients inverts hbar_coefficients.  Each rounds D, whose
+        relative error grows with kappa = terms / |D|, so the round trip is
+        bounded by a few ulps times kappa."""
+        p = PuParams(alpha, beta)
+        try:
+            c3, c4 = hbar_coefficients(p, c1, c2)
+        except DegenerateCombinationError:
+            with pytest.raises(SingularStructureError):
+                tensor_coefficients(p, c2, c1)
+            return
+        assert tensor_coefficients(p, c2, c1) == (c4, c3)
+        back = tensor_coefficients(p, c3, c4)
+        terms = c2 * c2 + abs(alpha * c1 * c2) + abs(beta) * c1 * c1
+        kappa = terms / abs(c2 * c2 - alpha * c1 * c2 + beta * c1 * c1)
+        for got, want in zip(back, (c1, c2)):
+            assert abs(got - want) <= 8.0 * _EPS * kappa * abs(want)
 
 
 class TestPushforward:
