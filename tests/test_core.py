@@ -20,7 +20,7 @@ from puosc.errors import InvalidInputError, ParameterDomainError, PuError
 from puosc.hierarchy import _square_piece, charge_ladder, combine, recursion_operator
 from puosc.linalg import expm, inverse
 from puosc.symmetry import standard_basis
-from puosc.verify import random_freq_params
+from puosc.verify import random_freq_params, random_params
 
 
 class TestParams:
@@ -482,6 +482,13 @@ class TestOstrogradsky:
     def test_energy_of_unit_acceleration(self, p54):
         o = ostrogradsky_matrix(p54) @ PhaseState(0, 0, 1, 0).as_array()
         assert ostrogradsky_hamiltonian(p54).value(o) == 0.5
+
+    def test_canonical_bracket_pushes_to_j1(self, rng):
+        for _ in range(20):
+            p = random_params(rng)
+            tinv = inverse(ostrogradsky_matrix(p))
+            pushed = tinv @ canonical_tensor().matrix @ tinv.T
+            assert np.max(np.abs(pushed - poisson_j1(p).matrix)) <= 1e-12
 
     def test_hamilton_equations(self, p54, rng):
         # canonical flow in (q1, q2, pi1, pi2) matches the transported companion flow

@@ -252,6 +252,11 @@ class TestPdWindow:
         # verify's axis measure draws the other coefficient positive only
         assert not any(pd_window(p54, 0.0, -c) or pd_window(p54, -c, 0.0) for c in (0.2, 1.0, 3.0))
 
+    @pytest.mark.parametrize("w1,w2", [(2.0, 1.0), (1.0, 2.0)])
+    def test_window_solvable_for_both_orderings(self, w1, w2, rng):
+        p = PuParams.from_frequencies(w1, w2)
+        assert any(pd_window(p, c1, c2) for c1, c2 in rng.uniform(-3, 3, (400, 2)))
+
     def test_pieces_are_nonnegative_inside_window(self, p54):
         dec = pd_decompose(p54, 1.0, 2.0)
         for piece in (dec.h12, dec.h21):

@@ -10,7 +10,7 @@ from puosc.linalg import expm
 from puosc.symmetry import (Generator, act_on_hamiltonian, closed_form_flow,
                             commutator, group_flow, solve_symmetries,
                             standard_basis)
-from puosc.verify import random_params
+from puosc.verify import random_freq_params, random_params
 
 
 def lie_bracket_by_components(a, b):
@@ -168,6 +168,25 @@ class TestClosedFormFlows:
         state = closed_form_flow("X4", "degenerate", (0.0, 0.0, 1.0, 0.0), p, t, s)
         want = (t - s * w2) * math.sin(1.5 * (t + s * w2))
         assert state.q == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["X2", "X3", "X4"])
+    @pytest.mark.parametrize("regime", ["nondegenerate", "degenerate"])
+    def test_matches_exponential_flow(self, which, regime, rng):
+        worst = 0.0
+        for _ in range(20):
+            if regime == "degenerate":
+                w = rng.uniform(0.5, 2.0)
+                p = PuParams.from_frequencies(w, w)
+            else:
+                p = random_freq_params(rng)
+            gens = dict(zip(("X2", "X3", "X4"), standard_basis(p)[1:]))
+            amps = rng.uniform(-1, 1, 4)
+            t, s = rng.uniform(0, 10), rng.uniform(0, 2)
+            v0 = closed_form_flow(which, regime, amps, p, t, 0.0)
+            via_expm = group_flow(gens[which], s, v0).as_array()
+            closed = closed_form_flow(which, regime, amps, p, t, s).as_array()
+            worst = max(worst, np.max(np.abs(via_expm - closed)))
+        assert worst <= 1e-8
 
     def test_symmetry_flows_commute_with_time_evolution(self, rng):
         for _ in range(10):
