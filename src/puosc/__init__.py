@@ -13,13 +13,12 @@ from .hierarchy import (ChargeLadder, CombinedStructure, PdDecomposition,
                         charge_ladder, coefficients_on_h1h2, combine,
                         ladder_via_x3, next_charge, pd_decompose, pd_window,
                         pu_polynomial, x4_pair)
-from .symmetry import (FlowCurve, Generator, closed_form_flow, commutator,
-                       group_flow, act_on_hamiltonian, solve_symmetries,
-                       standard_basis)
+from .symmetry import (Generator, closed_form_flow, commutator, group_flow,
+                       act_on_hamiltonian, solve_symmetries, standard_basis)
 from .transform import (SmEmbedding, TransformSpec, XYState, build, forward,
                         flow_preserving_tensor, ghost_variant, inverse,
-                        legendre, pd_decompose_transformed,
-                        pd_window_transformed, pullback_hamiltonian,
-                        pushforward_brackets, sm_embedding, transformed_form)
+                        legendre, pullback_hamiltonian, pushforward_brackets,
+                        sm_embedding, ta2_decomposition, ta2_form, ta2_window,
+                        tb1_decomposition, tb1_form, tb1_window)
 
 __version__ = "0.1.0"

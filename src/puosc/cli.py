@@ -186,18 +186,15 @@ def _cmd_hierarchy(parser, args, p: PuParams) -> int:
 
 def _cmd_transform(parser, args, p: PuParams) -> int:
     kind = args.kind
-    kwargs = {"ax": args.ax, "g": args.g}
-    if kind.startswith("Ta"):
-        kwargs["ay"] = args.ay if args.ay is not None else 1.0
-    elif kind == "Tb1":
-        if args.bx is None:
-            parser.error("Tb1 requires --bx")
-        kwargs["bx"] = args.bx
-    else:
-        if args.by is None:
-            parser.error("Tb2 requires --by")
-        kwargs["by"] = args.by
-    spec = transform.build(kind, p, **kwargs)
+    # the one of ay, bx and by that the kind's family reads; Ta defaults ay to 1
+    name = "ay" if kind.startswith("Ta") else "bx" if kind == "Tb1" else "by"
+    for other in ("ay", "bx", "by"):
+        if other != name and getattr(args, other) is not None:
+            parser.error(f"{kind} takes no --{other}")
+    value = getattr(args, name)
+    if value is None and name != "ay":
+        parser.error(f"{kind[:3]} requires --{name}")
+    spec = transform.build(kind, p, ax=args.ax, g=args.g, **{name: 1.0 if value is None else value})
     c1, c2 = transform.pullback_hamiltonian(spec, p)
     payload = {
         "params": {"alpha": p.alpha, "beta": p.beta},
@@ -232,8 +229,8 @@ def _cmd_flow(parser, args, p: PuParams) -> int:
     except (ValueError, MemoryError):  # more samples than numpy or memory can hold
         raise InvalidInputError(f"cannot hold {args.steps:.6g} steps: lower --steps") from None
     states = [(t, dynamics.eval_solution(sol, t)) for t in times]
-    curve = symmetry.flow_curve(gens[args.generator], args.s, states)
-    rows = [[t, st.q, st.qd, st.qdd, st.qddd] for t, st in curve.samples]
+    rows = [[t, st.q, st.qd, st.qdd, st.qddd]
+            for t, st in symmetry.flow_curve(gens[args.generator], args.s, states)]
     _emit(_csv(["t", "q", "qd", "qdd", "qddd"], rows), args.out)
     return 0
 

@@ -104,7 +104,7 @@ class PuParams:
                 raise InvalidInputError(f"frequencies must be a non-negative pair, got {w!r}")
             s1, s2 = w[0] * w[0], w[1] * w[1]
             for name, want, got in (("alpha", self.alpha, s1 + s2), ("beta", self.beta, s1 * s2)):
-                if abs(got - want) > 1e-12 * got:
+                if abs(got - want) > 1e-12 * got or math.isinf(got):
                     raise InvalidInputError(f"frequencies {w!r} disagree with {name} = {want!r}")
 
     @classmethod

@@ -44,8 +44,6 @@ class CombinedStructure:
 class PdDecomposition:
     h12: QuadHamiltonian
     h21: QuadHamiltonian
-    prefactor12: float
-    prefactor21: float
 
 
 @_memoized
@@ -214,12 +212,7 @@ def pd_decompose(p: PuParams, c1: float, c2: float) -> PdDecomposition:
     w1sq, w2sq = _pd_squared_frequencies(p)
     pref12 = w1sq / ((c1 * w1sq - c2) * (w1sq - w2sq))
     pref21 = w2sq / ((c1 * w2sq - c2) * (w2sq - w1sq))
-    return PdDecomposition(
-        h12=_square_piece(pref12, w1sq, w2sq),
-        h21=_square_piece(pref21, w2sq, w1sq),
-        prefactor12=pref12,
-        prefactor21=pref21,
-    )
+    return PdDecomposition(_square_piece(pref12, w1sq, w2sq), _square_piece(pref21, w2sq, w1sq))
 
 
 def pd_window(p: PuParams, c1: float, c2: float) -> bool:

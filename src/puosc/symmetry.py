@@ -8,7 +8,6 @@ vectorized 16x16 Sylvester operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +30,6 @@ class Generator(_FrozenMatrix):
 
     def __reduce__(self):
         return Generator, (self.matrix,)
-
-
-@dataclass(frozen=True)
-class FlowCurve:
-    """Samples (t, state) of phi_s applied to a classical trajectory."""
-
-    generator: Generator
-    s: float
-    samples: list[tuple[float, PhaseState]]
 
 
 def commutator(x: Generator, y: Generator) -> Generator:
@@ -83,11 +73,11 @@ def group_flow(x: Generator, s: float, v0: PhaseState) -> PhaseState:
     return PhaseState.from_array(expm(s * x.matrix) @ v0.as_array())
 
 
-def flow_curve(x: Generator, s: float, states: list[tuple[float, PhaseState]]) -> FlowCurve:
-    """Apply phi_s to every (t, state) sample of a trajectory."""
+def flow_curve(x: Generator, s: float, states: list[tuple[float, PhaseState]]
+               ) -> list[tuple[float, PhaseState]]:
+    """The (t, phi_s(state)) samples of a trajectory's (t, state) samples."""
     mat = expm(s * x.matrix)
-    samples = [(t, PhaseState.from_array(mat @ v.as_array())) for t, v in states]
-    return FlowCurve(x, s, samples)
+    return [(t, PhaseState.from_array(mat @ v.as_array())) for t, v in states]
 
 
 def _check_regime(p: PuParams, regime: str) -> tuple[float, float]:

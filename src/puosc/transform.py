@@ -225,7 +225,7 @@ def _xy_coupling() -> np.ndarray:
     return c
 
 
-def pullback_form(spec: TransformSpec, p: PuParams) -> QuadHamiltonian:
+def pullback_form(spec: TransformSpec) -> QuadHamiltonian:
     """The target Hamiltonian written back in the (q, qd, qdd, qddd) variables.
 
     For Tb2 the y kinetic term degenerates (ay = 0); there y is auxiliary and
@@ -243,7 +243,7 @@ def pullback_form(spec: TransformSpec, p: PuParams) -> QuadHamiltonian:
 
 def pullback_hamiltonian(spec: TransformSpec, p: PuParams) -> tuple[float, float]:
     """(c1, c2) with pullback = c1 H1 + c2 H2."""
-    return coefficients_on_h1h2(p, pullback_form(spec, p))
+    return coefficients_on_h1h2(p, pullback_form(spec))
 
 
 def catalog_pullback_coefficients(spec: TransformSpec, p: PuParams) -> tuple[float, float]:
@@ -321,77 +321,63 @@ class TransformedPdDecomposition:
     h21_xy: QuadHamiltonian
 
 
-def _xy_pieces(spec: TransformSpec, pieces_q: tuple[QuadHamiltonian, QuadHamiltonian]
-               ) -> tuple[QuadHamiltonian, QuadHamiltonian]:
-    """Transport q-variable pieces to (x, y, px, py) through the inverse map."""
-    winv = inverse_jacobian(spec)
-    return tuple(QuadHamiltonian(winv.T @ piece.matrix @ winv) for piece in pieces_q)
+def ta2_form(p: PuParams, g: float) -> QuadHamiltonian:
+    """Unit-kinetic Ta2 Hamiltonian (ax = ay = 1) in the original variables:
+    (2g - alpha) H1 - 2 H2.  Defined for every g (the underlying map may
+    leave the real branch, the quadratic form does not)."""
+    return combined_form(p, 2.0 * g - p.alpha, -2.0)
 
 
-def _unit_kinetic_value(kind: str, g: float | None, bx: float | None,
-                        what: str, unknown: str) -> float:
-    """The free value of a unit-kinetic kind: g for Ta2, bx for Tb1."""
-    if kind not in ("Ta2", "Tb1"):
-        raise InvalidInputError(f"no {unknown} for kind {kind!r}")
-    name, value = ("g", g) if kind == "Ta2" else ("bx", bx)
-    if value is None:
-        raise InvalidInputError(f"{kind} {what} needs {name}")
-    return value
+def tb1_form(p: PuParams, bx: float) -> QuadHamiltonian:
+    """Unit-kinetic Tb1 Hamiltonian (ax = 1) in the original variables:
+    (bx - alpha) H1 - H2, defined for every bx."""
+    return combined_form(p, bx - p.alpha, -1.0)
 
 
-def transformed_form(kind: str, p: PuParams, *, g: float | None = None,
-                     bx: float | None = None) -> QuadHamiltonian:
-    """Unit-kinetic transformed Hamiltonian in the original variables.
-
-    Ta2 at ax = ay = 1 gives (2g - alpha) H1 - 2 H2; Tb1 at ax = 1 gives
-    (bx - alpha) H1 - H2.  Defined for every parameter value (the underlying
-    map may leave the real branch, the quadratic form does not).
-    """
-    value = _unit_kinetic_value(kind, g, bx, "form", "unit-kinetic form")
-    if kind == "Ta2":
-        return combined_form(p, 2.0 * value - p.alpha, -2.0)
-    return combined_form(p, value - p.alpha, -1.0)
-
-
-def pd_decompose_transformed(kind: str, p: PuParams, *, g: float | None = None,
-                             bx: float | None = None) -> TransformedPdDecomposition:
-    """Square-piece decomposition of the Ta2 (ax = ay = 1) or Tb1 (ax = 1)
-    transformed Hamiltonian.
-
-    Ta2 pieces carry prefactors (2g + w_i^2 - w_j^2)/(2 w_i^2 - 2 w_j^2); Tb1
-    pieces carry (bx - w_j^2)/(2 w_i^2 - 2 w_j^2) (the squared-frequency
-    reading, fixed by reassembly against the pullback Hamiltonian).
-    """
+def ta2_window(p: PuParams, g: float) -> bool:
+    """Positivity window of ``ta2_form``: |2g| < |w1^2 - w2^2| with both
+    frequencies nonzero."""
     w1sq, w2sq = _pd_squared_frequencies(p)
-    value = _unit_kinetic_value(kind, g, bx, "decomposition", "decomposition")
-    if kind == "Ta2":
-        spec = build("Ta2+", p, ax=1.0, ay=1.0, g=value)
-        pref12 = (2.0 * value + w1sq - w2sq) / (2.0 * (w1sq - w2sq))
-        pref21 = (2.0 * value + w2sq - w1sq) / (2.0 * (w2sq - w1sq))
-    else:
-        spec = build("Tb1", p, ax=1.0, bx=value, g=1.0 if g is None else g)
-        pref12 = (value - w2sq) / (2.0 * (w1sq - w2sq))
-        pref21 = (value - w1sq) / (2.0 * (w2sq - w1sq))
+    lo, hi = sorted((w2sq - w1sq, w1sq - w2sq))
+    return lo < 2.0 * g < hi
+
+
+def tb1_window(p: PuParams, bx: float) -> bool:
+    """Positivity window of ``tb1_form``: bx strictly between w1^2 and w2^2."""
+    w1sq, w2sq = _pd_squared_frequencies(p)
+    lo, hi = sorted((w1sq, w2sq))
+    return lo < bx < hi
+
+
+def ta2_decomposition(p: PuParams, g: float) -> TransformedPdDecomposition:
+    """Square-piece decomposition of ``ta2_form``, whose pieces carry the
+    prefactors (2g + w_i^2 - w_j^2)/(2 w_i^2 - 2 w_j^2)."""
+    w1sq, w2sq = _pd_squared_frequencies(p)
+    return _decomposition(build("Ta2+", p, ax=1.0, ay=1.0, g=g), w1sq, w2sq,
+                          (2.0 * g + w1sq - w2sq) / (2.0 * (w1sq - w2sq)),
+                          (2.0 * g + w2sq - w1sq) / (2.0 * (w2sq - w1sq)))
+
+
+def tb1_decomposition(p: PuParams, bx: float, g: float) -> TransformedPdDecomposition:
+    """Square-piece decomposition of ``tb1_form``, realized by the Tb1 map at
+    coupling g, whose pieces carry the prefactors (bx - w_j^2)/(2 w_i^2 - 2 w_j^2)
+    (the squared-frequency reading, fixed by reassembly against the pullback
+    Hamiltonian)."""
+    w1sq, w2sq = _pd_squared_frequencies(p)
+    return _decomposition(build("Tb1", p, ax=1.0, bx=bx, g=g), w1sq, w2sq,
+                          (bx - w2sq) / (2.0 * (w1sq - w2sq)),
+                          (bx - w1sq) / (2.0 * (w2sq - w1sq)))
+
+
+def _decomposition(spec: TransformSpec, w1sq: float, w2sq: float, pref12: float,
+                   pref21: float) -> TransformedPdDecomposition:
+    """The square pieces of prefactors pref12 and pref21 in q, and transported
+    to (x, y, px, py) through the inverse map of spec."""
     h12_q = _square_piece(2.0 * pref12, w1sq, w2sq)
     h21_q = _square_piece(2.0 * pref21, w2sq, w1sq)
-    h12_xy, h21_xy = _xy_pieces(spec, (h12_q, h21_q))
+    winv = inverse_jacobian(spec)
+    h12_xy, h21_xy = (QuadHamiltonian(winv.T @ piece.matrix @ winv) for piece in (h12_q, h21_q))
     return TransformedPdDecomposition(spec, h12_q, h21_q, h12_xy, h21_xy)
-
-
-def pd_window_transformed(kind: str, p: PuParams, *, g: float | None = None,
-                          bx: float | None = None) -> bool:
-    """Positivity window of the transformed Hamiltonian.
-
-    Ta2 (ax = ay = 1): |2g| < |w1^2 - w2^2| with both frequencies nonzero.
-    Tb1 (ax = 1): bx strictly between w1^2 and w2^2.
-    """
-    w1sq, w2sq = _pd_squared_frequencies(p)
-    value = _unit_kinetic_value(kind, g, bx, "window", "window")
-    if kind == "Ta2":
-        lo, hi = sorted((w2sq - w1sq, w1sq - w2sq))
-        return lo < 2.0 * value < hi
-    lo, hi = sorted((w1sq, w2sq))
-    return lo < value < hi
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,10 @@ reports (pass, residual, samples).  All but two are ``_over_draws`` rows of
 the ``CHECKS`` table: a bound and (n, measure) pairs.  A row passes when
 the worst value of n counted draws of each measure is at most its bound,
 and counts as samples the draws that measured a value.  A measure fails a
-side condition by returning inf; a window that disagrees with Sylvester's
-test is 1.0, against a bound of 0.0.  The report also carries the
-resolved-typo ledger: wherever two printed readings of a formula
-disagreed, the entry records which reading survived the numerical ground
-truth.
+side condition, or a window that disagrees with Sylvester's test, by
+returning inf.  The report also carries the resolved-typo ledger: wherever
+two printed readings of a formula disagreed, the entry records which
+reading survived the numerical ground truth.
 """
 from __future__ import annotations
 
@@ -256,7 +255,7 @@ def _combined_flow(p, rng):
 
 
 def _pd_window(p, rng):
-    """1.0 when the window of a drawn (c1, c2) disagrees with Sylvester's test."""
+    """inf when the window of a drawn (c1, c2) disagrees with Sylvester's test."""
     pp = random_freq_params(rng)
     c1, c2 = _uniform(rng, -3.0, 3.0, 2)
     w1, w2 = pp.frequencies()
@@ -268,7 +267,7 @@ def _pd_window(p, rng):
         hbar = combined_form(pp, *hierarchy.hbar_coefficients(pp, c1, c2))
     except PuError:
         return None
-    return (float(hierarchy.pd_window(pp, c1, c2) != linalg.is_positive_definite(hbar.matrix)),)
+    return _holds(hierarchy.pd_window(pp, c1, c2) == linalg.is_positive_definite(hbar.matrix))
 
 
 def _axis_window(p, rng):
@@ -473,24 +472,22 @@ def _ghost_variants(p, rng):
 
 
 def _ta2_windows(p, rng):
-    """1.0 unless window and Sylvester find Ta2 at omega = (2, 1) open at g = 1, shut at g = 2."""
+    """inf unless window and Sylvester find Ta2 at omega = (2, 1) open at g = 1, shut at g = 2."""
     pp = PuParams.from_frequencies(2.0, 1.0)
-    agree = [transform.pd_window_transformed("Ta2", pp, g=g) == expect
-             == linalg.is_positive_definite(transform.transformed_form("Ta2", pp, g=g).matrix)
-             for g, expect in ((1.0, True), (2.0, False))]
-    return (float(not all(agree)),)
+    return _holds(all(transform.ta2_window(pp, g) == expect
+                      == linalg.is_positive_definite(transform.ta2_form(pp, g).matrix)
+                      for g, expect in ((1.0, True), (2.0, False))))
 
 
 def _tb1_window(p, rng):
-    """1.0 when the Tb1 window at a drawn bx disagrees with Sylvester's test."""
+    """inf when the Tb1 window at a drawn bx disagrees with Sylvester's test."""
     pp = random_freq_params(rng)
     w1, w2 = pp.frequencies()
     bx = _uniform(rng, 0.0, 1.3 * max(w1, w2) ** 2)
     if min(abs(bx - w1 * w1), abs(bx - w2 * w2)) < 1e-4:
         return ()
-    form = transform.transformed_form("Tb1", pp, bx=bx)
-    return (float(transform.pd_window_transformed("Tb1", pp, bx=bx)
-                  != linalg.is_positive_definite(form.matrix)),)
+    return _holds(transform.tb1_window(pp, bx)
+                  == linalg.is_positive_definite(transform.tb1_form(pp, bx).matrix))
 
 
 def _reassembly(dec, want_q) -> tuple[float, float]:
@@ -508,12 +505,12 @@ def _ta2_pieces(p, rng):
     w1, w2 = pp.frequencies()
     g = _uniform(rng, -0.45, 0.45) * abs(w1 * w1 - w2 * w2)
     try:
-        dec = transform.pd_decompose_transformed("Ta2", pp, g=g)
+        dec = transform.ta2_decomposition(pp, g)
     except PuError:
         return None
-    values = _reassembly(dec, transform.transformed_form("Ta2", pp, g=g).matrix)
+    values = _reassembly(dec, transform.ta2_form(pp, g).matrix)
     spectra = [np.linalg.eigvalsh(piece.matrix) for piece in (dec.h12_q, dec.h21_q, dec.h12_xy,
-               dec.h21_xy)] if transform.pd_window_transformed("Ta2", pp, g=g) else []
+               dec.h21_xy)] if transform.ta2_window(pp, g) else []
     return (*values, *_holds(not any(ev.min() < -1e-10 * (1.0 + abs(ev.max())) for ev in spectra)))
 
 
@@ -524,10 +521,10 @@ def _tb1_pieces(p, rng):
     bx = _uniform(rng, lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
     g = _uniform(rng, 0.3, 1.5) * _pick(rng, _SIGNS)
     try:
-        dec = transform.pd_decompose_transformed("Tb1", pp, bx=bx, g=g)
+        dec = transform.tb1_decomposition(pp, bx, g)
     except PuError:
         return None
-    return _reassembly(dec, transform.transformed_form("Tb1", pp, bx=bx).matrix)
+    return _reassembly(dec, transform.tb1_form(pp, bx).matrix)
 
 
 def _sm_embedding(p, rng):

@@ -40,6 +40,8 @@ _OPTION_CASES = [
     for option, (value, other) in options.items()]
 # a quick run of each subcommand that exits 0
 _QUICK = {argv[0]: argv for argv, option, _, _ in _OPTION_CASES if option == "--out"}
+# the one of --ay, --bx and --by that a transform kind reads, with a value
+_TRANSFORM_READS = {"Ta2+": ("--ay", "1"), "Tb1": ("--bx", "0.5"), "Tb2+": ("--by", "1")}
 
 
 @pytest.mark.parametrize("argv, option, value, other", _OPTION_CASES,
@@ -103,6 +105,15 @@ class TestUsageErrors:
         r = run_cli(*_QUICK[command], *option.split())
         assert r.returncode == 2
         assert f"unrecognized arguments: {option}" in r.stderr
+
+    @pytest.mark.parametrize("kind, option", [
+        (kind, option) for kind in ("Ta2+", "Tb1", "Tb2+")
+        for option in ("--ay", "--bx", "--by") if option != _TRANSFORM_READS[kind][0]])
+    def test_transform_rejects_an_option_its_kind_does_not_read(self, kind, option):
+        r = run_cli("transform", "--kind", kind, "--omega1", "2", "--omega2", "1",
+                    *_TRANSFORM_READS[kind], option, "1")
+        assert r.returncode == 2
+        assert f"{kind} takes no {option}" in r.stderr
 
     @pytest.mark.parametrize("command", ["verify"])
     def test_negative_seed_rejected(self, command):

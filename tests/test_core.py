@@ -1,13 +1,15 @@
+import contextlib
 import copy
 import dataclasses
 import gc
+import math
 import pickle
 import weakref
 
 import numpy as np
 import pytest
 from conftest import arrays_of, assert_memoized, verify_check
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from puosc import core, dynamics, hierarchy, symmetry, transform, verify
@@ -58,7 +60,8 @@ class TestParams:
             PuParams.from_frequencies(float("inf"), 1.0)
 
     @pytest.mark.parametrize("fields", [(5.0, 4.0, -2.0, 1.0), (5.0, 4.0, 3.0, 3.0),
-                                        (5.0, 4.0 + 4e-11, 2.0, 1.0), (5.0, 4.0, 2.0, None)])
+                                        (5.0, 4.0 + 4e-11, 2.0, 1.0), (5.0, 4.0, 2.0, None),
+                                        (1.0, 1.0, 1e200, 1e200), (2e200, 1.0, 1e100, 1e100)])
     def test_bad_frequencies_rejected(self, fields):
         with pytest.raises(InvalidInputError):
             PuParams(*fields)
@@ -68,6 +71,56 @@ class TestParams:
     def test_own_frequencies_accepted(self, omegas):
         p = PuParams.from_frequencies(*omegas)
         assert p.frequencies() == tuple(float(w) for w in omegas)
+
+
+# floats from the whole line, +-0.0, subnormals and huge values included
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# 0.0 and omegas whose squares and their product are normal floats
+_NORMAL_OMEGAS = st.one_of(st.just(0.0), st.floats(1e-70, 1e70))
+# relative moves of alpha or beta, each at least 10 % away from 1e-12
+_MOVES = st.one_of(st.just(0.0), st.floats(-0.9e-12, 0.9e-12), st.floats(1.1e-12, 10.0),
+                   st.floats(-1.0, -1.1e-12))
+
+
+class TestParamsGate:
+    """Which fields ``PuParams`` accepts (README, the CLI paragraph)."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(_FINITE_FLOATS, _FINITE_FLOATS)
+    def test_any_finite_alpha_beta_accepted(self, alpha, beta):
+        p = PuParams(alpha, beta)
+        assert (p.alpha, p.beta, p.omega1, p.omega2) == (alpha, beta, None, None)
+
+    @settings(derandomize=True, deadline=None)
+    @given(_NORMAL_OMEGAS, _NORMAL_OMEGAS, st.booleans(), st.data())
+    def test_non_finite_negative_or_lone_omega_rejected(self, w1, w2, omegas_given, data):
+        fields = [w1 * w1 + w2 * w2, w1 * w1 * w2 * w2, *((w1, w2) if omegas_given else (None, None))]
+        PuParams(*fields)  # accepted until one field is spoilt
+        defects = [(i, bad) for i in range(4 if omegas_given else 2)
+                   for bad in (math.nan, math.inf, -math.inf)]
+        if omegas_given:
+            defects += [(i, None) for i in (2, 3)] + [(i, -fields[i]) for i in (2, 3) if fields[i]]
+        i, bad = data.draw(st.sampled_from(defects))
+        fields[i] = bad
+        with pytest.raises(InvalidInputError):
+            PuParams(*fields)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.floats(0.0, allow_infinity=False), st.floats(0.0, allow_infinity=False))
+    def test_finite_frequencies_accepted(self, w1, w2):
+        assume(math.isfinite(w1 * w1 + w2 * w2) and math.isfinite(w1 * w1 * w2 * w2))
+        p = PuParams.from_frequencies(w1, w2)
+        assert p.frequencies() == (w1, w2)
+
+    @settings(derandomize=True, deadline=None)
+    @given(_NORMAL_OMEGAS, _NORMAL_OMEGAS, _MOVES, _MOVES)
+    def test_omegas_accepted_exactly_when_they_match(self, w1, w2, move_alpha, move_beta):
+        s1, s2 = w1 * w1, w2 * w2
+        alpha, beta = (s1 + s2) * (1.0 + move_alpha), s1 * s2 * (1.0 + move_beta)
+        match = all(abs(move) < 1e-12 or exact == 0.0
+                    for move, exact in ((move_alpha, s1 + s2), (move_beta, s1 * s2)))
+        with pytest.raises(InvalidInputError) if not match else contextlib.nullcontext():
+            PuParams(alpha, beta, w1, w2)
 
 
 class TestCompanion:
@@ -228,7 +281,7 @@ _EXACT_SITES = {
     "legendre-tb1": lambda f, g: transform.legendre(
         transform.build("Tb1", _P21, ax=1.0, bx=2.0, g=-0.5)),
     "pullback-tb2": lambda f, g: transform.pullback_form(
-        transform.build("Tb2-", _P21, ax=0.7, by=-1.3, g=0.4), _P21),
+        transform.build("Tb2-", _P21, ax=0.7, by=-1.3, g=0.4)),
     "square-piece": lambda f, g: _square_piece(-0.6, 4.0, 1.0),
     # R S_n comes out asymmetric by rounding at these frequencies
     "next-charge": lambda f, g: charge_ladder(PuParams.from_frequencies(1.7, 0.6), 5).charges[-1],
@@ -337,8 +390,8 @@ class TestCombinedForm:
         h1, h2 = hamiltonian_h1(p), hamiltonian_h2(p)
         ta2 = (2.0 * value - p.alpha) * h1 - 2.0 * h2
         tb1 = (value - p.alpha) * h1 - h2
-        assert transform.transformed_form("Ta2", p, g=value).matrix.tobytes() == ta2.matrix.tobytes()
-        assert transform.transformed_form("Tb1", p, bx=value).matrix.tobytes() == tb1.matrix.tobytes()
+        assert transform.ta2_form(p, value).matrix.tobytes() == ta2.matrix.tobytes()
+        assert transform.tb1_form(p, value).matrix.tobytes() == tb1.matrix.tobytes()
 
     @pytest.mark.parametrize("check_id", ["catalog.flow-tensor", "sm.embedding"],
                              ids=["flow-tensor", "sm-embedding"])
@@ -360,9 +413,9 @@ class TestCombinedForm:
     @pytest.mark.parametrize("build", [
         lambda p: combine(p, 1.0, 0.3),
         lambda p: hierarchy.ladder_via_x3(p, 3),
-        lambda p: transform.transformed_form("Tb1", p, bx=1.0),
+        lambda p: transform.tb1_form(p, 1.0),
         lambda p: combined_form(p, -1.0, 2.0),
-    ], ids=["combine", "ladder_via_x3", "transformed_form", "combined_form"])
+    ], ids=["combine", "ladder_via_x3", "tb1_form", "combined_form"])
     def test_one_build_once_h1_h2_are_memoized(self, build, monkeypatch):
         p = PuParams.from_frequencies(2.0, 1.0)
         hamiltonian_h1(p), hamiltonian_h2(p)

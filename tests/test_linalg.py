@@ -260,6 +260,32 @@ def test_one_relative_residual():
     assert list(_hand_residuals(ast.parse(planted))) == [1, 2]
 
 
+def _unread_parameters(tree):
+    """(function, parameter) of each public module-level function or method
+    whose body never reads the parameter."""
+    for scope in (tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))):
+        for fn in scope.body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                args = fn.args
+                read = {node.id for statement in fn.body for node in ast.walk(statement)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                yield from ((fn.name, a.arg) for a in (*args.posonlyargs, *args.args,
+                            *args.kwonlyargs, args.vararg, args.kwarg) if a and a.arg not in read)
+
+
+def test_every_parameter_is_read():
+    """No public function or method of the package accepts an argument that
+    it ignores."""
+    root = pathlib.Path(puosc.__file__).parent
+    found = [f"{path.stem}.{fn}({arg})" for path in sorted(root.glob("*.py"))
+             if path.name != "__main__.py"
+             for fn, arg in _unread_parameters(ast.parse(path.read_text()))]
+    assert found == []
+    planted = "def f(a, *b, c, **d):\n    a = c\nclass K:\n    def m(self, e):\n        pass"
+    assert list(_unread_parameters(ast.parse(planted))) == [
+        ("f", "a"), ("f", "b"), ("f", "d"), ("m", "self"), ("m", "e")]
+
+
 class TestExpm:
     def test_zero_matrix(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))

@@ -17,11 +17,10 @@ from puosc.hierarchy import combine, hbar_coefficients
 from puosc.linalg import is_positive_definite, leading_minors
 from puosc.transform import (XYState, build, canonical_bracket_residual,
                              flow_preserving_tensor, forward, ghost_variant, inverse,
-                             inverse_jacobian, jacobian, legendre,
-                             pd_decompose_transformed, pd_window_transformed,
-                             pullback_hamiltonian, pushforward_brackets,
-                             sm_embedding, tau_of, tensor_coefficients,
-                             transformed_form)
+                             inverse_jacobian, jacobian, legendre, pullback_hamiltonian,
+                             pushforward_brackets, sm_embedding, ta2_decomposition,
+                             ta2_form, ta2_window, tau_of, tb1_decomposition, tb1_form,
+                             tensor_coefficients)
 from puosc.verify import admissible_spec, random_freq_params
 
 # finite, and far enough from overflow and underflow that the map's products
@@ -324,31 +323,31 @@ class TestGhostVariants:
 class TestPositivityWindows:
     def test_ta2_window_boundary(self, p54):
         for g, expected in ((1.0, True), (2.0, False)):
-            form = transformed_form("Ta2", p54, g=g)
-            window = pd_window_transformed("Ta2", p54, g=g)
+            form = ta2_form(p54, g)
+            window = ta2_window(p54, g)
             minors_positive = all(d > 0 for d in leading_minors(form.matrix))
             assert window == expected == minors_positive
 
     def test_ta2_decomposition_both_variable_sets(self, p54):
-        dec = pd_decompose_transformed("Ta2", p54, g=1.0)
+        dec = ta2_decomposition(p54, 1.0)
         total_q = dec.h12_q.matrix + dec.h21_q.matrix
-        assert np.max(np.abs(total_q - transformed_form("Ta2", p54, g=1.0).matrix)) <= 1e-10
+        assert np.max(np.abs(total_q - ta2_form(p54, 1.0).matrix)) <= 1e-10
         total_xy = dec.h12_xy.matrix + dec.h21_xy.matrix
         assert np.max(np.abs(total_xy - legendre(dec.spec).matrix)) <= 1e-10
 
     def test_tb1_decomposition_both_variable_sets(self, p54):
-        dec = pd_decompose_transformed("Tb1", p54, bx=2.5, g=1.0)
+        dec = tb1_decomposition(p54, 2.5, 1.0)
         total_q = dec.h12_q.matrix + dec.h21_q.matrix
-        assert np.max(np.abs(total_q - transformed_form("Tb1", p54, bx=2.5).matrix)) <= 1e-10
+        assert np.max(np.abs(total_q - tb1_form(p54, 2.5).matrix)) <= 1e-10
         total_xy = dec.h12_xy.matrix + dec.h21_xy.matrix
         assert np.max(np.abs(total_xy - legendre(dec.spec).matrix)) <= 1e-10
 
     def test_pieces_nonnegative_inside_window(self, p54):
-        dec = pd_decompose_transformed("Ta2", p54, g=1.0)
+        dec = ta2_decomposition(p54, 1.0)
         for piece in (dec.h12_q, dec.h21_q, dec.h12_xy, dec.h21_xy):
             evals = np.linalg.eigvalsh(piece.matrix)
             assert evals.min() >= -1e-10 * (1.0 + abs(evals.max()))
-        dec = pd_decompose_transformed("Tb1", p54, bx=2.5, g=0.7)
+        dec = tb1_decomposition(p54, 2.5, 0.7)
         for piece in (dec.h12_q, dec.h21_q, dec.h12_xy, dec.h21_xy):
             evals = np.linalg.eigvalsh(piece.matrix)
             assert evals.min() >= -1e-10 * (1.0 + abs(evals.max()))
@@ -356,7 +355,7 @@ class TestPositivityWindows:
     def test_ta2_kappa_reading(self, p54):
         # kappa_± = 1/2 ± rho_g/(4g + 2 w_i^2 - 2 w_j^2), rho_g of the built branch
         g = 1.0
-        dec = pd_decompose_transformed("Ta2", p54, g=g)
+        dec = ta2_decomposition(p54, g)
         rho = math.sqrt(p54.alpha ** 2 - 4.0 * p54.beta - 4.0 * g * g)
         for wi, wj, piece in ((4.0, 1.0, dec.h12_xy), (1.0, 4.0, dec.h21_xy)):
             denom = 4.0 * g + 2.0 * wi - 2.0 * wj
@@ -371,7 +370,7 @@ class TestPositivityWindows:
         # resolved reading: momenta px*lambda_nu + py*tau*lambda_mu, positions
         # x*lambda_nu - y*lambda_mu, lambda_mu^j = (mu0 - mu2 w_j^2)/(mu2 nu0 - mu0 nu2)
         bx, g = 2.5, 1.0
-        dec = pd_decompose_transformed("Tb1", p54, bx=bx, g=g)
+        dec = tb1_decomposition(p54, bx, g)
         (mu0, _, mu2), (nu0, _, nu2) = dec.spec.mu, dec.spec.nu
         det = mu2 * nu0 - mu0 * nu2
         tau_x = (bx - 4.0) * (bx - 1.0) / g ** 2
@@ -386,23 +385,7 @@ class TestPositivityWindows:
     def test_degenerate_rejected(self):
         p = PuParams.from_frequencies(1.1, 1.1)
         with pytest.raises(DecompositionUndefinedError):
-            pd_window_transformed("Ta2", p, g=0.5)
-
-    @pytest.mark.parametrize("fn, kind, kwargs, message", [
-        (transformed_form, "Ta2", {"bx": 1.0}, "Ta2 form needs g"),
-        (transformed_form, "Tb1", {"g": 1.0}, "Tb1 form needs bx"),
-        (transformed_form, "Tb2+", {"g": 1.0}, "no unit-kinetic form for kind 'Tb2+'"),
-        (pd_decompose_transformed, "Ta2", {"bx": 1.0}, "Ta2 decomposition needs g"),
-        (pd_decompose_transformed, "Tb1", {"g": 1.0}, "Tb1 decomposition needs bx"),
-        (pd_decompose_transformed, "Ta1", {"g": 1.0}, "no decomposition for kind 'Ta1'"),
-        (pd_window_transformed, "Ta2", {"bx": 1.0}, "Ta2 window needs g"),
-        (pd_window_transformed, "Tb1", {"g": 1.0}, "Tb1 window needs bx"),
-        (pd_window_transformed, "Ta2+", {"g": 1.0}, "no window for kind 'Ta2+'"),
-    ])
-    def test_unit_kinetic_kind_errors(self, p54, fn, kind, kwargs, message):
-        with pytest.raises(InvalidInputError) as excinfo:
-            fn(kind, p54, **kwargs)
-        assert str(excinfo.value) == message
+            ta2_window(p, 0.5)
 
 
 class TestSmEmbedding:
