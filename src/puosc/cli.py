@@ -4,7 +4,9 @@ Subcommands: verify (identity suites -> JSON report), hierarchy (charge
 table), transform (catalog report), flow (group-flow curves), simulate
 (trajectory with monitored charges), discover (structure solver).  Exit
 codes: 0 success, 1 domain error, 2 usage error.  Only verify, which draws
-from it, takes --seed; no option is accepted and ignored.
+from it, takes --seed; no option is accepted and ignored.  CSV goes out in
+blocks of rows, so no copy of its whole text is held, and an --out file is
+written through a temp file renamed into place, so a failed run leaves none.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import os
 import re
 import sys
 import uuid
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -23,14 +26,14 @@ from .core import PuParams, flow_residual, hamiltonian_h1, hamiltonian_h2
 from .errors import DivergenceError, InvalidInputError, PuError
 
 
-def _atomic_write(path: str, data: str) -> None:
-    """Write through a new file renamed over path, created as ``open(path,
-    "w")`` creates one: mode 0o666 less the umask."""
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks through a new file renamed over path, created as
+    ``open(path, "w")`` creates one: mode 0o666 less the umask."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".puosc-{uuid.uuid4().hex}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -38,22 +41,30 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _emit(data: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks to the file out, or to stdout when out is None."""
     if out:
-        _atomic_write(out, data)
+        _atomic_write(out, chunks)
     else:
-        sys.stdout.write(data)
+        sys.stdout.writelines(chunks)
 
 
-def _csv(header: list[str], rows: list[list[float]]) -> str:
-    row_fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(row_fmt % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+# rows per chunk of CSV text: a block's text, not the whole file's, is in memory
+_CSV_BLOCK_ROWS = 1024
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _csv(header: list[str], table: np.ndarray) -> Iterator[str]:
+    """The header line, then the rows of a 2-D table in blocks of lines."""
+    yield ",".join(header) + "\n"
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS].tolist()
+        yield "".join([row_fmt % tuple(row) for row in block])
+
+
+def _json_dump(obj) -> list[str]:
+    """The JSON text of obj as the one chunk that _emit writes."""
+    return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
 
 
 def _argument_type(convert, valid, expected: str):
@@ -180,14 +191,13 @@ def _cmd_hierarchy(parser, args, p: PuParams) -> int:
                                 "p_n": r[3]} for r in rows]}
         _emit(_json_dump(payload), args.out)
     else:
-        _emit(_csv(["n", "c_h1", "c_h2", "p_n"], rows), args.out)
+        _emit(_csv(["n", "c_h1", "c_h2", "p_n"], np.array(rows)), args.out)
     return 0
 
 
 def _cmd_transform(parser, args, p: PuParams) -> int:
     kind = args.kind
-    # the one of ay, bx and by that the kind's family reads; Ta defaults ay to 1
-    name = "ay" if kind.startswith("Ta") else "bx" if kind == "Tb1" else "by"
+    name = transform.free_keyword(kind)  # Ta defaults ay to 1
     for other in ("ay", "bx", "by"):
         if other != name and getattr(args, other) is not None:
             parser.error(f"{kind} takes no --{other}")
@@ -231,7 +241,7 @@ def _cmd_flow(parser, args, p: PuParams) -> int:
     states = [(t, dynamics.eval_solution(sol, t)) for t in times]
     rows = [[t, st.q, st.qd, st.qdd, st.qddd]
             for t, st in symmetry.flow_curve(gens[args.generator], args.s, states)]
-    _emit(_csv(["t", "q", "qd", "qdd", "qddd"], rows), args.out)
+    _emit(_csv(["t", "q", "qd", "qdd", "qddd"], np.array(rows)), args.out)
     return 0
 
 
@@ -263,8 +273,7 @@ def _cmd_simulate(parser, args, p: PuParams) -> int:
         base = hamiltonian_h1(p) if pot.kind == "on_q" else hamiltonian_h2(p)
         header.append("Hint")
         columns.append(dynamics.charge_values(traj, base, augment=pot))
-    rows = np.column_stack(columns).tolist()
-    _emit(_csv(header, rows), args.out)
+    _emit(_csv(header, np.column_stack(columns)), args.out)
     if diverged is not None:
         print(f"error: {diverged}", file=sys.stderr)
         return 1

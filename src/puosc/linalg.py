@@ -6,9 +6,7 @@ Gauss-Jordan inversion with an explicit pivot tolerance, a fixed-order
 scaling-and-squaring matrix exponential, and one Frobenius norm.
 
 At these sizes a numpy call costs more than its arithmetic, so ``inverse``
-steps Python floats row by row.  It performs the IEEE operations of the
-numpy-row elimination it replaced, in the same order, and so returns the same
-bits and raises the same errors.  Its pivot is the row that
+steps Python floats row by row.  Its pivot is the row that
 ``np.argmax(np.abs(column))`` picks: the first largest magnitude, or the first
 nan when the column holds one (an overflow during elimination can make one).
 ``frobenius`` is ``np.linalg.norm``'s arithmetic for a norm without ``ord``

@@ -73,17 +73,26 @@ def _sign_of_kind(kind: str) -> float:
     return 1.0 if kind.endswith("+") else -1.0
 
 
+def free_keyword(kind: str) -> str:
+    """The one of ay, bx and by that ``build`` reads for the kind's family."""
+    return "ay" if kind.startswith("Ta") else "bx" if kind == "Tb1" else "by"
+
+
 def build(kind: str, p: PuParams, *, ax: float, ay: float | None = None,
           bx: float | None = None, by: float | None = None, g: float = 0.0) -> TransformSpec:
     """Construct a catalog transformation.
 
     Free parameters by family: Ta1/Ta2 take (ax, ay, g); Tb1 takes (ax, bx, g);
-    Tb2 takes (ax, by, g).  Excluded parameter values raise ConstructionError
-    naming the violated condition; a negative square-root radicand raises
-    ComplexBranchError.
+    Tb2 takes (ax, by, g).  Another family's keyword raises InvalidInputError.
+    Excluded parameter values raise ConstructionError naming the violated
+    condition; a negative square-root radicand raises ComplexBranchError.
     """
     if kind not in KINDS:
         raise InvalidInputError(f"unknown transformation kind {kind!r}")
+    read = free_keyword(kind)
+    for name, value in (("ay", ay), ("bx", bx), ("by", by)):
+        if name != read and value is not None:
+            raise InvalidInputError(f"{kind} takes no {name}")
     if ax == 0.0:
         raise ConstructionError("ax must be nonzero")
     alpha, beta = p.alpha, p.beta

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
-from puosc import verify
+from puosc import cli, verify
 from puosc.cli import build_parser
 
 _AMPLITUDES = {"--A1": ("1", "0"), "--A2": ("0", "1"), "--B1": ("0", "1"), "--B2": ("1", "0")}
@@ -67,6 +68,22 @@ def test_option_cases_cover_every_option():
     options = {(name, option) for name, sub in commands.items() for action in sub._actions
                for option in action.option_strings if option not in ("-h", "--help")}
     assert {(argv[0], option) for argv, option, _, _ in _OPTION_CASES} == options
+
+
+def test_failed_streamed_write_keeps_the_old_file(tmp_path):
+    """A chunk that fails partway leaves --out as it was and no temp file."""
+    out = tmp_path / "old.csv"
+    out.write_text("old bytes\n")
+
+    def chunks():
+        yield "a,b\n"
+        yield "1,2\n" * 5000
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._emit(chunks(), str(out))
+    assert out.read_text() == "old bytes\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["old.csv"]
 
 
 class TestUsageErrors:
@@ -262,6 +279,13 @@ def test_every_finite_float_repr_parses_to_itself(x):
         assert repr(parser.parse_args(argv).A1) == repr(x)
 
 
+# the two simulate examples of the README, without their --out
+_README_QUARTIC = ("simulate", "--omega1", "2", "--omega2", "1", "--A1", "0.3", "--h", "1e-3",
+                   "--t-end", "20", "--potential", "quartic:lam=0.25")
+_README_BLOW_UP = ("simulate", "--omega1", "1", "--omega2", "1", "--B1", "1", "--h", "1e-3",
+                   "--t-end", "20", "--potential", "quartic:lam=0.25")
+
+
 class TestSimulateCommand:
     def test_quartic_blow_up_reports_time(self):
         # the degenerate secular mode plus the quartic coupling diverges
@@ -307,6 +331,33 @@ class TestSimulateCommand:
         r = run_cli("simulate", "--omega1", "2", "--omega2", "1", "--h", "1e-300", "--t-end", t_end)
         assert r.returncode == 1
         assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("argv, code, stderr, rows", [
+        (_README_QUARTIC, 0, "", 20001),
+        (_README_BLOW_UP, 1, "error: integration diverged at t = 11.81\n", 11810),
+    ], ids=["quartic", "blow-up"])
+    def test_stdout_has_the_bytes_of_the_out_file(self, argv, code, stderr, rows, tmp_path):
+        out = tmp_path / "traj.csv"
+        to_file = run_cli(*argv, "--out", str(out))
+        to_stdout = run_cli(*argv)
+        assert (to_file.returncode, to_file.stderr, to_file.stdout) == (code, stderr, "")
+        assert (to_stdout.returncode, to_stdout.stderr) == (code, stderr)
+        assert to_stdout.stdout == out.read_text()
+        values = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert values.shape[0] == rows and np.isfinite(values[:, :5]).all()
+
+    def test_traced_peak_below_twice_the_csv(self, tmp_path):
+        """The CSV is written in blocks of rows, so no copy of the whole text
+        is held: the traced peak is the run's arrays, not its output."""
+        out = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main([*_README_QUARTIC, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * out.stat().st_size
 
     def test_csv_round_trip_exact(self, tmp_path):
         out = tmp_path / "traj.csv"

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 import puosc
 from puosc.core import PuParams, companion_field, hamiltonian_h1, poisson_j1
 from puosc.errors import InvalidInputError, SingularMatrixError
-from puosc.linalg import (as_matrix, expm, frobenius, inverse, leading_minors, nullspace,
+from puosc.linalg import (expm, frobenius, inverse, leading_minors, nullspace,
                           relative_residual, require_finite)
 
 
@@ -92,36 +93,6 @@ class TestInverse:
             assert np.max(np.abs(a @ inv - np.eye(n))) < 1e-10
 
 
-def _numpy_row_inverse(m):
-    """Gauss-Jordan on numpy rows, the form ``inverse`` took before it
-    stepped Python floats; its bits and errors are the reference."""
-    a = as_matrix(m, square=True)
-    n = a.shape[0]
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(a), initial=0.0)))
-    work = np.hstack([a, np.eye(n)])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
-        if abs(work[pivot_row, col]) < floor:
-            raise SingularMatrixError(f"pivot {work[pivot_row, col]:.3e} below tolerance in column {col}")
-        if pivot_row != col:
-            work[[col, pivot_row]] = work[[pivot_row, col]]
-        work[col] /= work[col, col]
-        for row in range(n):
-            if row != col and work[row, col] != 0.0:
-                work[row] -= work[row, col] * work[col]
-    return work[:, n:]
-
-
-def _outcome(fn, a):
-    """The bytes and shape of fn(a), or the type and message it raises."""
-    with np.errstate(all="ignore"):
-        try:
-            out = fn(a)
-        except Exception as exc:  # noqa: BLE001 - the error is the outcome
-            return type(exc), str(exc)
-    return out.shape, out.tobytes()
-
-
 # small integers make ties in |pivot| and exact zeros of both signs; the
 # large entries overflow during elimination, which puts nan in a pivot column
 _ENTRIES = st.one_of(
@@ -133,24 +104,98 @@ _ENTRIES = st.one_of(
 _SQUARES = st.integers(1, 6).flatmap(
     lambda n: st.lists(_ENTRIES, min_size=n * n, max_size=n * n).map(
         lambda xs: np.array(xs).reshape(n, n)))
+# an overflow makes nan in column 2 below a finite entry under the floor
+_NAN_PIVOT = np.array([[-1.0, -1.0, 3.0, 3.0], [0.0, 0.5, 0.0, -0.0],
+                       [-1e308, -1e308, 1e308, 1.0], [1e308, -1e308, 1e308, 1e308]])
 
 
-class TestInverseBits:
+def _pivot_error(value, col):
+    return f"^pivot {re.escape(f'{value:.3e}')} below tolerance in column {col}$"
+
+
+def _multiplies_back_or_names_a_pivot_below_the_floor(a):
+    n = len(a)
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    try:
+        x = inverse(a)
+    except SingularMatrixError as exc:
+        value, col = re.fullmatch(r"pivot (\S+) below tolerance in column (\d+)", str(exc)).groups()
+        assert int(col) < n and abs(float(value)) < floor * (1.0 + 1e-3)  # 4 digits shown
+        return
+    assert x.shape == a.shape
+    with np.errstate(all="ignore"):
+        residual = np.max(np.abs(a @ x - np.eye(n)), initial=0.0)
+        scale = (np.max(np.sum(np.abs(a), axis=1), initial=0.0)
+                 * np.max(np.sum(np.abs(x), axis=1), initial=0.0))
+    if math.isfinite(residual) and math.isfinite(scale):  # else elimination overflowed
+        assert residual <= 4 * n * np.finfo(float).eps * scale
+
+
+def _first_largest_pivot_and_the_floor(a, col):
+    # zeros in columns ..col, then m I on the leading block, m = max(1,
+    # max|entry|): elimination reaches column col with its rows unchanged,
+    # every pivot before it is m, and the floor is 1e-12 m
+    b = a.copy()
+    b[:, :col + 1] = 0.0
+    m = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    b[:col, :col] = m * np.eye(col)
+    floor = 1e-12 * m
+    # a's candidates, scaled by a power of two to below the floor
+    top = float(np.max(np.abs(a[col:, col])))
+    scale = 2.0 ** math.floor(math.log2(0.1 * floor / top)) if top >= floor else 1.0
+    b[col:, col] = a[col:, col] * scale
+    first = b[col + int(np.argmax(np.abs(b[col:, col]))), col]
+    with pytest.raises(SingularMatrixError, match=_pivot_error(first, col)):
+        inverse(b)
+    # a lone candidate at the floor passes; one just below it raises
+    b[col:, col] = 0.0
+    b[col, col] = floor
+    try:
+        inverse(b)
+    except SingularMatrixError as exc:
+        assert int(str(exc).rsplit(" ", 1)[1]) > col
+    b[col, col] = math.nextafter(floor, 0.0)
+    with pytest.raises(SingularMatrixError, match=_pivot_error(b[col, col], col)):
+        inverse(b)
+
+
+class TestInverseContract:
+    """The documented contract of ``inverse``: the pivot is the first largest
+    magnitude of its column, or its first nan; a pivot below 1e-12 max(1,
+    max|entry|) raises SingularMatrixError naming it; A A^-1 = I to rounding."""
+
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(_SQUARES)
     @example(np.zeros((0, 0)))
-    # rows 0 and 1 tie in |column 0|: taking row 1 first rounds differently
+    # rows 0 and 1 tie in |column 0|
     @example(np.array([[1.0, 3.0, 0.1], [-1.0, 0.7, 0.3], [0.2, 0.9, 1.1]]))
     # tied pivots in both columns, one of them -0.0 after elimination
     @example(np.array([[1.0, 2.0, -0.0], [-1.0, 0.0, 3.0], [1.0, -2.0, 0.5]]))
-    # singular: the second pivot is exactly zero
-    @example(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    # an overflow makes nan in column 2 below a finite entry; the first
-    # nan is the pivot (choosing the largest finite entry raises instead)
-    @example(np.array([[-1.0, -1.0, 3.0, 3.0], [0.0, 0.5, 0.0, -0.0],
-                       [-1e308, -1e308, 1e308, 1.0], [1e308, -1e308, 1e308, 1e308]]))
-    def test_same_bits_and_errors_as_numpy_rows(self, a):
-        assert _outcome(inverse, a) == _outcome(_numpy_row_inverse, a)
+    @example(_NAN_PIVOT)
+    def test_on_drawn_matrices(self, a):
+        """a multiplies back to I or raises naming a pivot below the floor;
+        and, with elimination led to each column of a in turn, the first
+        largest candidate is the pivot and the floor is the least that passes."""
+        _multiplies_back_or_names_a_pivot_below_the_floor(a)
+        for col in range(len(a)):
+            _first_largest_pivot_and_the_floor(a, col)
+
+    def test_nan_pivot_is_taken(self):
+        """Column 2's first nan is the pivot: the finite entry beside it, under
+        the floor, would raise."""
+        assert np.isnan(inverse(_NAN_PIVOT)).all()
+
+    @pytest.mark.parametrize("m, error, message", [
+        ([1.0, 2.0], InvalidInputError, "expected a 2-D matrix, got ndim=1"),
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], InvalidInputError,
+         "expected a square matrix, got shape (2, 3)"),
+        ([[1.0, math.inf], [0.0, 1.0]], InvalidInputError, "matrix has non-finite entries"),
+        ([[0.0, 0.0], [0.0, 0.0]], SingularMatrixError, "pivot 0.000e+00 below tolerance in column 0"),
+        ([[1.0, 2.0], [2.0, 4.0]], SingularMatrixError, "pivot 0.000e+00 below tolerance in column 1"),
+    ])
+    def test_error_messages(self, m, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            inverse(m)
 
 
 def _views(a):

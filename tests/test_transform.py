@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestBuild:
     def test_negative_radicand(self, p54):
         with pytest.raises(ComplexBranchError):
             build("Ta2+", p54, ax=1.0, ay=1.0, g=5.0)
+
+    @pytest.mark.parametrize("kind, kw", [
+        ("Ta2+", dict(ay=1.0, g=0.5)), ("Tb1", dict(bx=0.4, g=1.0)), ("Tb2-", dict(by=1.0, g=0.5)),
+    ])
+    def test_keyword_the_kind_does_not_read_rejected(self, kind, kw, p54):
+        build(kind, p54, ax=1.0, **kw)
+        for unread in {"ay", "bx", "by"} - set(kw):
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(kind)} takes no {unread}$"):
+                build(kind, p54, ax=1.0, **kw, **{unread: 7.0})
 
     def test_unknown_kind(self, p54):
         with pytest.raises(InvalidInputError):
