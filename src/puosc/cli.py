@@ -7,10 +7,24 @@ codes: 0 success, 1 domain error, 2 usage error.  Only verify, which draws
 from it, takes --seed; no option is accepted and ignored.  CSV goes out in
 blocks of rows, so no copy of its whole text is held, and an --out file is
 written through a temp file renamed into place, so a failed run leaves none.
+
+Each CSV number is ``'%.17g' % v``, byte for byte, made for a whole block at
+once in numpy.  A nonzero cell x is ±N * 10**(E - 16), where N is |x| *
+10**(16 - E) rounded half-even to 17 digits.  Where 10**(16 - E) is a double,
+which holds for every cell that %.17g writes without an exponent, Dekker's
+error-free product gives that rounding from exact values, ties included.
+Elsewhere the scale is a double-double, which leaves the product within about
+1e-14 of exact, so the rounding is certain unless the product lies within
+2**-20 of a tie.  The digits of N, a sign, a "0.000" lead, a dot and an
+"e+XX" suffix then fill a NUL-padded byte row per cell, and dropping the NUL
+bytes gives the text.  A cell whose rounding is not certain, a non-finite or
+subnormal value and an exponent outside the table are formatted by %.17g
+itself, in one batch per block.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -18,6 +32,7 @@ import re
 import sys
 import uuid
 from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,16 +65,208 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 
 
 # rows per chunk of CSV text: a block's text, not the whole file's, is in memory
-_CSV_BLOCK_ROWS = 1024
+_CSV_BLOCK_ROWS = 512
+
+# Cells whose decimal exponent E lies in this range take the vectorized
+# path: its scale 10**(16 - E) is a normal double-double, and |x| times
+# 2**27 + 1 stays finite for the split.
+_E_MIN, _E_MAX = -292, 299
+# byte slots of one cell: sign, "0.000" lead, 17 digits with the dot among
+# them, "e+XXX", separator; the NUL bytes left over are dropped
+_LEAD, _BODY, _EXP, _SEP = slice(1, 6), slice(6, 24), slice(24, 29), 29
+_CELL = 30
+
+
+def _split(x):
+    """Veltkamp's split of x into halves of at most 26 significant bits, whose
+    products with the halves of another split are exact."""
+    hi = x * 134217729.0  # 2**27 + 1
+    lo = hi - x
+    hi -= lo
+    return hi, np.subtract(x, hi, out=lo)
+
+
+def _byte_rows(texts, width):
+    """ASCII texts as the NUL-padded rows of a uint8 matrix."""
+    return np.array(texts, f"S{width}").view(np.uint8).reshape(len(texts), width)
+
+
+class _Tables(NamedTuple):
+    """The lookup tables of the CSV formatter, indexed by E - _E_MIN or by a
+    group q of four digits."""
+
+    hi: np.ndarray  # 10**(16 - E) correctly rounded
+    lo: np.ndarray  # the rest of 10**(16 - E), correctly rounded
+    h1: np.ndarray  # hi's split
+    h2: np.ndarray
+    exact: np.ndarray  # lo == 0
+    leads: np.ndarray  # "0." and -E - 1 zeros before a fixed cell below 1
+    exps: np.ndarray  # "e+XX" of a scientific cell
+    whole: np.ndarray  # digits before the dot
+    quads: np.ndarray  # the four ASCII digits of q as one little-endian uint32
+    quad_kept: np.ndarray  # how many of them run up to the last that is not "0"; -99 for 0000
+    keep: np.ndarray  # [w, k]: byte mask of digit word w that keeps the first k digits
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The formatter's tables, built read-only on first use, since only CSV
+    output reads them.  %.17g writes E in -4..16 in fixed notation with
+    E + 1 digits before the dot (none below 1), else one and an exponent."""
+    his, los = [], []
+    for s in range(16 - _E_MIN, 15 - _E_MAX, -1):
+        if s >= 0:
+            power = 10 ** s
+            hi = float(power)
+            lo = float(power - int(hi))
+        else:
+            den = 10 ** -s
+            hi = 1 / den
+            num, pow2 = hi.as_integer_ratio()
+            lo = (pow2 - num * den) / (den * pow2)
+        his.append(hi)
+        los.append(lo)
+    hi, lo = np.array(his), np.array(los)
+    shrink = np.where(hi > 1e290, 2.0 ** -64, 1.0)  # keeps 10**308 * (2**27 + 1) finite
+    h1, h2 = _split(hi * shrink)
+    exponents = range(_E_MIN, _E_MAX + 1)
+    fixed = [-4 <= e <= 16 for e in exponents]
+    q = np.arange(10000, dtype=np.int32)
+    quads = np.empty((10000, 4), np.uint8)
+    for k, power in enumerate((1000, 100, 10, 1)):
+        quads[:, k] = q // power % 10 + 48
+    quad_kept = (4 - (q % 10 == 0) - (q % 100 == 0) - (q % 1000 == 0)).astype(np.int8)
+    quad_kept[0] = -99
+    tables = _Tables(
+        hi, lo, h1 / shrink, h2 / shrink, lo == 0.0,
+        leads=_byte_rows([b"0." + b"0" * (-e - 1) if f and e < 0 else b""
+                          for e, f in zip(exponents, fixed)], 5),
+        exps=_byte_rows([b"" if f else b"e%+03d" % e for e, f in zip(exponents, fixed)], 5),
+        whole=np.array([max(e + 1, 0) if f else 1 for e, f in zip(exponents, fixed)], np.int8),
+        quads=quads.view("<u4").ravel(), quad_kept=quad_kept,
+        keep=np.array([[(1 << 8 * min(max(k - 4 * w, 0), 4)) - 1 for k in range(18)]
+                       for w in range(5)], "<u4"))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled_digits(a, i):
+    """The 17-digit integer round-half-even(a * 10**(16 - E)), E = i + _E_MIN,
+    and whether it is certain.  p = a * hi is an even integer when E is
+    right (p >= 10**16 > 2**53), and Dekker's t = a * hi - p is exact, so
+    p + rint(t) is the half-even rounding wherever lo is zero (16 - E <= 22).
+    Elsewhere t + a * lo is within about 1e-14 of exact, and a result within
+    2**-20 of a tie is not certain."""
+    tables = _tables()
+    p = np.take(tables.hi, i)
+    p *= a
+    a1, a2 = _split(a)
+    # the error of p, in Dekker's order with the factors swapped, plus a * lo
+    f = np.take(tables.h1, i)
+    t = a1 * f
+    t -= p
+    f *= a2
+    t += f
+    np.take(tables.h2, i, out=f)
+    a1 *= f
+    t += a1
+    f *= a2
+    t += f
+    np.take(tables.lo, i, out=f)
+    f *= a
+    t += f
+    del a1, a2, f
+    r = np.rint(t)
+    t -= r
+    sure = np.take(tables.exact, i) | (np.abs(t, out=t) < 0.5 - 2.0 ** -20)
+    n = p.astype(np.int64)
+    n += r.astype(np.int64)
+    return n, sure
+
+
+def _digit_words(x):
+    """The digits of each cell of the 1-D float array x as five little-endian
+    uint32 words of ASCII (17 digits and 3 NULs), with the zeros after the
+    dot made NUL; E - _E_MIN per cell; how many digits run up to the last
+    that is not "0" (negative for a zero); and which cells must fall back."""
+    a = np.abs(x)
+    usable = (a >= 1e-290) & (a < 1e299)  # not zero, subnormal, huge, nan or inf
+    a[~usable] = 1.0
+    i = np.floor(np.log10(a)).astype(np.int16)
+    i -= _E_MIN
+    n, sure = _scaled_digits(a, i)
+    del a
+    # N has 16 or 18 digits where log10 is one off next to a power of ten,
+    # or where the rounding carries to 10**17; such cells fall back
+    usable &= sure & (n >= 10 ** 16) & (n < 10 ** 17)
+    del sure
+    fallback = ~usable & (x != 0.0)
+    n[~usable] = 0  # zeros, and the fallback cells, are laid out as "0"
+    i[~usable] = -_E_MIN
+
+    tables = _tables()
+    words = np.empty((x.size, 5), "<u4")
+    kept = np.full(x.size, -99, np.int8)
+    for w, power in enumerate((10 ** 13, 10 ** 9, 10 ** 5, 10)):
+        q = n // power
+        n -= q * power
+        np.take(tables.quads, q, out=words[:, w])
+        np.maximum(kept, np.take(tables.quad_kept, q) + np.int8(4 * w), out=kept)
+    words[:, 4] = n + 48
+    kept[n != 0] = 17
+    del n
+    shown = np.maximum(kept, np.take(tables.whole, i))
+    for w in range(5):
+        words[:, w] &= np.take(tables.keep[w], shown)
+    return words, i, kept, fallback
+
+
+def _cells(x):
+    """The NUL-padded byte rows (sign, lead, digits and dot, exponent) of the
+    cells of the 1-D float array x; the separator slot is left NUL."""
+    words, i, kept, fallback = _digit_words(x)
+    tables = _tables()
+    digits = words.view(np.uint8)[:, :17]
+    whole = np.take(tables.whole, i)
+    out = np.zeros((x.size, _CELL), np.uint8)
+    out[:, 0] = np.signbit(x)
+    out[:, 0] *= 45  # "-"
+    np.take(tables.leads, i, axis=0, out=out[:, _LEAD])
+    # the digits, moved one right past the whole ones to make room for the dot
+    body = out[:, _BODY]
+    body[:, 1:] = digits
+    for j in range(whole.max()):
+        np.copyto(body[:, j], digits[:, j], where=whole > j)
+    del words, digits
+    dot = (kept > whole) & (whole > 0)
+    out.ravel()[np.arange(_BODY.start, out.size, _CELL) + whole] = dot * np.uint8(46)  # "."
+    np.take(tables.exps, i, axis=0, out=out[:, _EXP])
+    slow = np.flatnonzero(fallback)
+    if slow.size:
+        out[slow] = 0
+        out[slow, :24] = _byte_rows(["%.17g" % v for v in x[slow].tolist()], 24)
+    return out
+
+
+def _csv_text(block: np.ndarray) -> str:
+    """The CSV lines of a 2-D float block, each cell ``'%.17g' % v`` (see
+    the module docstring)."""
+    rows, cols = block.shape
+    cells = _cells(block.ravel()).reshape(rows, cols, _CELL)
+    cells[:, :-1, _SEP] = 44  # ","
+    cells[:, -1, _SEP] = 10  # "\n"
+    text = cells.tobytes()
+    del cells  # each copy of the block is let go as soon as the next exists
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")
 
 
 def _csv(header: list[str], table: np.ndarray) -> Iterator[str]:
     """The header line, then the rows of a 2-D table in blocks of lines."""
     yield ",".join(header) + "\n"
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS].tolist()
-        yield "".join([row_fmt % tuple(row) for row in block])
+        yield _csv_text(table[start:start + _CSV_BLOCK_ROWS])
 
 
 def _json_dump(obj) -> list[str]:
@@ -309,7 +516,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = args.subparser
     p = _params_from_args(sub, args)
     try:
-        return _COMMANDS[args.command](sub, args, p)
+        # an overflow the library handles leaves no numpy warning on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](sub, args, p)
     except PuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

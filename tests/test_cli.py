@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,17 @@ class TestUsageErrors:
 
 
 class TestDomainErrors:
+    @pytest.mark.parametrize("argv, code, stderr", [
+        (("hierarchy", "--alpha", "1e160", "--beta", "1"), 1,
+         "error: recursion step asymmetric by nan (relative)\n"),
+        (("discover", "--alpha", "1e200", "--beta", "1"), 0, ""),
+    ], ids=["hierarchy", "discover"])
+    def test_overflow_leaves_no_numpy_warning(self, argv, code, stderr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be printed on stderr
+            r = run_cli(*argv)
+        assert (r.returncode, r.stderr) == (code, stderr)
+
     def test_beta_zero_hierarchy(self):
         r = run_cli("hierarchy", "--n", "3", "--alpha", "5", "--beta", "0")
         assert r.returncode == 1
@@ -370,6 +382,56 @@ class TestSimulateCommand:
         for line in lines[1:]:
             rebuilt.append(",".join(format(float(tok), ".17g") for tok in line.split(",")))
         assert "\n".join(rebuilt) + "\n" == text
+
+
+def _percent_g_csv(header, table):
+    """The CSV text by its definition: every cell is ``'%.17g' % v``."""
+    rows = [",".join("%.17g" % v for v in row) + "\n" for row in table.tolist()]
+    return ",".join(header) + "\n" + "".join(rows)
+
+
+# the edges of the %.17g layout: signed zeros, the subnormal and normal
+# limits, the switches between fixed and scientific notation and their
+# neighbours, the ends of the vectorized exponent range, integers around
+# 2**53, non-finite values, and ties at the 17th digit (2**-25 is one whose
+# scale 10**24 is not a double)
+_EDGE_FLOATS = [
+    0.0, 5e-324, 2.2250738585072014e-308, 9999999999999998.0, 2.0 ** 53 - 1, 2.0 ** 53,
+    2.0 ** 53 + 2, math.nan, math.inf, 12345678.0009765625, 12345678.0029296875, 2.0 ** -25,
+    *(float(np.nextafter(v, to)) for v in (1e-4, 1e16, 1e17, 1e-290, 1e299)
+      for to in (0.0, v, 2 * v)),
+]
+_EDGE_FLOATS += [-v for v in _EDGE_FLOATS]
+_BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+# 8 digits before the dot and 10 after it, the last a 5: a tie at the 17th
+_TIES = st.builds(lambda whole, odd: whole + (2 * odd + 1) / 1024,
+                  st.integers(10 ** 7, 10 ** 8 - 1), st.integers(0, 511))
+_CELL_VALUES = _BIT_PATTERNS | st.floats() | st.sampled_from(_EDGE_FLOATS) | _TIES
+
+
+class TestCsvNumbers:
+    """CSV cells are the text of ``'%.17g' % v``, byte for byte."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+        st.lists(_CELL_VALUES, min_size=cols, max_size=cols), min_size=1, max_size=12)))
+    def test_every_cell_is_percent_17g(self, rows):
+        table = np.array(rows, dtype=float).reshape(len(rows), -1)
+        header = [f"c{k}" for k in range(table.shape[1])]
+        assert "".join(cli._csv(header, table)) == _percent_g_csv(header, table)
+
+    @pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1023, 1024, 1025])
+    def test_block_edges(self, rows):
+        rng = np.random.default_rng(rows)
+        bits = rng.integers(0, 2 ** 64, (rows, 3), dtype=np.uint64, endpoint=False)
+        table = np.where(rng.random((rows, 3)) < 0.5, bits.view(np.float64),
+                         rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-6, 18, (rows, 3)))
+        header = ["a", "b", "c"]
+        assert "".join(cli._csv(header, table)) == _percent_g_csv(header, table)
+
+    def test_every_edge_value(self):
+        table = np.array(_EDGE_FLOATS).reshape(-1, 2)
+        assert "".join(cli._csv(["x", "y"], table)) == _percent_g_csv(["x", "y"], table)
 
 
 class TestDiscoverCommand:

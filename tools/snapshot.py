@@ -3,15 +3,19 @@
     python3 tools/snapshot.py OUTDIR
 
 runs this checkout's ``puosc.cli.main`` (from the ``src`` next to this
-script) and writes 66 files into OUTDIR:
+script) and writes 69 files into OUTDIR:
 
 - ``verify-S.json``: the 40 ``verify --omega1 2 --omega2 1 --seed S``
   reports, S = 0..39;
 - ``simulate-K.csv``: 16 quartic ``simulate`` trajectories at omega = (2, 1),
   h = 1e-3, t_end = 20, with the amplitude sets the ``simulate`` benchmark
   draws for its seed 1, and ``simulate-readme.csv``, the README example;
+- ``simulate-small.csv``, a quartic trajectory of amplitude 1e-6, whose cells
+  are almost all in ``e-0X`` notation, and ``simulate-blow-up.csv``, the
+  README's diverging example, with ``inf``, ``-inf`` and ``e+244`` cells;
 - ``hierarchy.csv``, ``hierarchy.json``, three ``transform-*.json`` reports,
-  ``discover.json`` and three ``flow-*.csv`` curves.
+  ``discover.json``, three ``flow-*.csv`` curves and ``flow-zero.csv``, a
+  20,001-row zero-amplitude curve whose cells are ``0`` but for its times.
 
 It prints a ``# python X numpy Y`` header, then one ``sha256 name exit-code``
 line per command.  ``tools/snapshot.sha256`` is that output, committed; to
@@ -50,6 +54,9 @@ def commands():
                  for x in (name, repr(float(a)))]
         yield f"simulate-{k:02d}.csv", ["simulate", *OMEGA, *QUARTIC, *flags]
     yield "simulate-readme.csv", ["simulate", *OMEGA, "--A1", "0.3", *QUARTIC]
+    yield "simulate-small.csv", ["simulate", *OMEGA, "--A1", "1e-6", "--B2", "3e-7", *QUARTIC]
+    yield "simulate-blow-up.csv", ["simulate", "--omega1", "1", "--omega2", "1", "--B1", "1",
+                                   *QUARTIC]
     yield "hierarchy.csv", ["hierarchy", "--n", "6", "--alpha", "5", "--beta", "4"]
     yield "hierarchy.json", ["hierarchy", "--n", "8", "--alpha", "-1.5", "--beta", "0.7",
                              "--format", "json"]
@@ -63,6 +70,7 @@ def commands():
     for gen in ("X2", "X3", "X4"):
         yield f"flow-{gen}.csv", ["flow", *OMEGA, "--generator", gen, "--s", "0.7",
                                   "--A1", "1", "--B2", "-0.4", "--steps", "50"]
+    yield "flow-zero.csv", ["flow", *OMEGA, "--steps", "20000"]
 
 
 def main(argv=None) -> int:
