@@ -153,11 +153,12 @@ def _tables() -> _Tables:
 
 def _scaled_digits(a, i):
     """The 17-digit integer round-half-even(a * 10**(16 - E)), E = i + _E_MIN,
-    and whether it is certain.  p = a * hi is an even integer when E is
-    right (p >= 10**16 > 2**53), and Dekker's t = a * hi - p is exact, so
-    p + rint(t) is the half-even rounding wherever lo is zero (16 - E <= 22).
-    Elsewhere t + a * lo is within about 1e-14 of exact, and a result within
-    2**-20 of a tie is not certain."""
+    and whether it is certain to be that with E the exponent of a.  p = a *
+    hi is an even integer when E is right (p >= 10**16 > 2**53), and
+    Dekker's t = a * hi - p is exact, so p + rint(t) is the half-even
+    rounding wherever lo is zero (16 - E <= 22).  Elsewhere t + a * lo is
+    within about 1e-14 of exact, and a result within 2**-20 of a tie, or of
+    10**16 from below, is not certain."""
     tables = _tables()
     p = np.take(tables.hi, i)
     p *= a
@@ -177,9 +178,15 @@ def _scaled_digits(a, i):
     f *= a
     t += f
     del a1, a2, f
+    exact = np.take(tables.exact, i)
+    # a * 10**(16 - E) = p + t below 10**16 means E is one too big, even
+    # where it rounds to the 17 digits of 10**16
+    below = p - 1e16
+    below += t
+    below = (below < 0.0) | (~exact & (below < 2.0 ** -20))
     r = np.rint(t)
     t -= r
-    sure = np.take(tables.exact, i) | (np.abs(t, out=t) < 0.5 - 2.0 ** -20)
+    sure = (exact | (np.abs(t, out=t) < 0.5 - 2.0 ** -20)) & ~below
     n = p.astype(np.int64)
     n += r.astype(np.int64)
     return n, sure
@@ -197,8 +204,8 @@ def _digit_words(x):
     i -= _E_MIN
     n, sure = _scaled_digits(a, i)
     del a
-    # N has 16 or 18 digits where log10 is one off next to a power of ten,
-    # or where the rounding carries to 10**17; such cells fall back
+    # log10 is one off next to a power of ten, and the rounding may carry to
+    # 10**17; such cells fall back
     usable &= sure & (n >= 10 ** 16) & (n < 10 ** 17)
     del sure
     fallback = ~usable & (x != 0.0)

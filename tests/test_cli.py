@@ -433,6 +433,16 @@ class TestCsvNumbers:
         table = np.array(_EDGE_FLOATS).reshape(-1, 2)
         assert "".join(cli._csv(["x", "y"], table)) == _percent_g_csv(["x", "y"], table)
 
+    def test_powers_of_ten_and_their_neighbours(self):
+        """The double nearest 10**k may lie below it by less than half a unit
+        of the 17th digit (1e-07 is 9.9999999999999995e-08): log10 then
+        names the exponent one too big, yet the product rounds to 10**16."""
+        powers = np.array([float(f"1e{k}") for k in range(-307, 309)])
+        table = np.column_stack([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                                 -powers])
+        header = ["p", "below", "above", "minus"]
+        assert "".join(cli._csv(header, table)) == _percent_g_csv(header, table)
+
 
 class TestDiscoverCommand:
     def test_pairs_and_residuals(self):
