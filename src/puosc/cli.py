@@ -17,9 +17,9 @@ Elsewhere the scale is a double-double, which leaves the product within about
 1e-14 of exact, so the rounding is certain unless the product lies within
 2**-20 of a tie.  The digits of N, a sign, a "0.000" lead, a dot and an
 "e+XX" suffix then fill a NUL-padded byte row per cell, and dropping the NUL
-bytes gives the text.  A cell whose rounding is not certain, a non-finite or
-subnormal value and an exponent outside the table are formatted by %.17g
-itself, in one batch per block.
+bytes gives the text.  A cell whose exponent or rounding is not certain, a
+non-finite or subnormal value and an exponent outside the table are
+formatted by %.17g itself, in one batch per block.
 """
 from __future__ import annotations
 
