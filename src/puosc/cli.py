@@ -448,10 +448,10 @@ def _cmd_transform(parser, args, p: PuParams) -> int:
 def _cmd_flow(parser, args, p: PuParams) -> int:
     sol = _classical_solution(p, args)
     gens = dict(zip(("X1", "X2", "X3", "X4"), symmetry.standard_basis(p)))
-    try:
-        times = np.linspace(0.0, args.t_end, args.steps + 1)
-    except (ValueError, MemoryError):  # more samples than numpy or memory can hold
-        raise InvalidInputError(f"cannot hold {args.steps:.6g} steps: lower --steps") from None
+    if args.steps > dynamics.MAX_STEPS:
+        raise InvalidInputError(f"cannot take {args.steps:.12g} steps, "
+                                f"at most {dynamics.MAX_STEPS}: lower --steps")
+    times = np.linspace(0.0, args.t_end, args.steps + 1)
     states = [(t, dynamics.eval_solution(sol, t)) for t in times]
     rows = [[t, st.q, st.qd, st.qdd, st.qddd]
             for t, st in symmetry.flow_curve(gens[args.generator], args.s, states)]

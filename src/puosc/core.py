@@ -65,8 +65,12 @@ object: the instance would reach itself through its own memo, and only the
 cyclic garbage collector would free it.  The memo is not part of the value:
 fields, ``==``, ``hash`` and ``repr`` ignore it, and a copy or an unpickled
 instance starts without it.  Functions that take arguments besides the
-parameters (solvers, ``combine``, ``charge_ladder``, the kernels in
-``linalg``) are not memoized.
+parameters (``combine``, ``charge_ladder``, the kernels in ``linalg``) are
+not memoized.  Neither are ``symmetry.solve_symmetries(p)`` and
+``dynamics.structure_discovery(p)``, though they take p alone: each returns a
+fresh list, ``DiscoveryResult.kernels`` holds writable arrays that a shared
+copy would let one caller change under another, and the package keeps no
+process-wide store of results.
 """
 from __future__ import annotations
 

@@ -156,6 +156,10 @@ class Trajectory:
 
 
 _CHUNK = 1024  # steps buffered between writes into the state array
+# the most steps integrate takes (and samples ``puosc flow`` writes): 10**7
+# rows of states are 320 MB, and a larger count is refused before any
+# array is allocated
+MAX_STEPS = 10 ** 7
 
 
 def _diverged(i: int, h: float, states: np.ndarray) -> DivergenceError:
@@ -169,7 +173,7 @@ def _start(v0, n_steps: int):
     """The state array with v0 in row 0, its flat view, and v0 as floats."""
     try:
         states = np.empty((n_steps + 1, 4))
-    except (ValueError, MemoryError):  # more rows than numpy or memory can hold
+    except MemoryError:  # at most MAX_STEPS rows, but more than memory can hold
         raise InvalidInputError(f"cannot hold the states of {n_steps:.6g} steps: "
                                 "raise h or lower t_end") from None
     states[0] = v0
@@ -252,8 +256,9 @@ def integrate(field, v0: PhaseState, h: float, t_end: float) -> Trajectory:
         raise InvalidInputError("step size h must be positive and finite")
     if not h <= t_end < math.inf:
         raise InvalidInputError("t_end must be finite and at least one step")
-    if t_end / h == math.inf:
-        raise InvalidInputError("t_end / h overflows: raise h or lower t_end")
+    if t_end / h > MAX_STEPS:  # inf included
+        raise InvalidInputError(f"cannot take {t_end / h:.12g} steps, at most {MAX_STEPS}: "
+                                "raise h or lower t_end")
     n_steps = int(round(t_end / h))
     if type(field) is LinearField:
         states = _rk4_linear(field._m30, field._m32, v0.as_array(), h, n_steps)
@@ -411,15 +416,33 @@ class DiscoveryResult:
     skipped: list[np.ndarray] = field(default_factory=list)
 
 
-_ANTISYM_INDEX = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+# the upper-triangle positions (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+_UPPER_ROWS, _UPPER_COLS = np.triu_indices(4, 1)
 
 
 def _antisym_from_params(c: np.ndarray) -> np.ndarray:
-    k = np.zeros((4, 4))
-    for val, (i, j) in zip(c, _ANTISYM_INDEX):
-        k[i, j] = val
-        k[j, i] = -val
+    """The antisymmetric K (or stack of them) with upper triangle c[..., :6]."""
+    k = np.zeros(c.shape[:-1] + (4, 4))
+    k[..., _UPPER_ROWS, _UPPER_COLS] = c
+    k[..., _UPPER_COLS, _UPPER_ROWS] = -c
     return k
+
+
+# K_j = _antisym_from_params(e_j): +1 and -1 at the j-th pair, +0.0 above
+# and -0.0 below the diagonal elsewhere
+_UNIT_ANTISYM = _antisym_from_params(np.eye(6))
+_UNIT_ANTISYM.setflags(write=False)
+
+
+def _discovery_operator(m: np.ndarray) -> np.ndarray:
+    """The 16x6 matrix of c -> (K M + M^T K).ravel() for K = _antisym_from_params(c).
+
+    Column j is (K_j M + M^T K_j).ravel().  Each entry of K_j M and M^T K_j
+    is one exact product +-M[s, t] plus exact zeros, so one stacked matmul
+    pair gives the bits of twelve 4x4 ones.
+    """
+    stack = _UNIT_ANTISYM @ m + m.T @ _UNIT_ANTISYM
+    return np.ascontiguousarray(stack.reshape(6, 16).T)
 
 
 def structure_discovery(p: PuParams) -> DiscoveryResult:
@@ -434,14 +457,7 @@ def structure_discovery(p: PuParams) -> DiscoveryResult:
     if p.beta == 0.0:
         raise ParameterDomainError("structure discovery requires beta != 0")
     m = companion_field(p)
-    columns = []
-    for idx in range(6):
-        c = np.zeros(6)
-        c[idx] = 1.0
-        k = _antisym_from_params(c)
-        columns.append((k @ m + m.T @ k).ravel())
-    operator = np.column_stack(columns)
-    kernel = nullspace(operator)
+    kernel = nullspace(_discovery_operator(m))
 
     pairs, kernels, skipped = [], [], []
     for coeffs in kernel:

@@ -11,6 +11,10 @@ steps Python floats row by row.  Its pivot is the row that
 nan when the column holds one (an overflow during elimination can make one).
 ``frobenius`` is ``np.linalg.norm``'s arithmetic for a norm without ``ord``
 or ``axis`` wherever its sum of squares is finite, without argument handling.
+The rule is general: where a numpy helper costs more than its arithmetic at
+4x4, a kernel writes the same products directly, and a test pins its bits to
+the helper's (``expm``'s 1-norm against ``np.linalg.norm(a, 1)``, the
+Sylvester operator of ``symmetry`` against ``np.kron``).
 """
 from __future__ import annotations
 
@@ -117,17 +121,28 @@ def relative_residual(x: np.ndarray, y: np.ndarray) -> float:
     return frobenius(x - y) / (1.0 + frobenius(y))
 
 
+def _squarings(a: np.ndarray) -> int:
+    """How often ``expm`` squares: the least s >= 0 with ||a||_1 / 2**s <=
+    _EXPM_THETA, up to the rounding of log2.  The 1-norm, the largest column
+    sum of |a|, is taken as ``np.linalg.norm(a, 1)`` takes it."""
+    norm = np.add.reduce(np.abs(a), axis=0).max(initial=0.0)
+    return max(0, int(np.ceil(np.log2(norm / _EXPM_THETA)))) if norm > _EXPM_THETA else 0
+
+
 def expm(m) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with an order-8 Taylor kernel."""
     a = as_matrix(m, square=True)
-    n = a.shape[0]
-    norm = np.linalg.norm(a, ord=1)
-    squarings = max(0, int(np.ceil(np.log2(norm / _EXPM_THETA)))) if norm > _EXPM_THETA else 0
+    eye = np.eye(a.shape[0])
+    squarings = _squarings(a)
     b = a / (2.0 ** squarings)
-    # Horner evaluation of sum_{k<=order} b^k / k!
-    result = np.eye(n) + b / _EXPM_ORDER
+    # Horner evaluation of sum_{k<=order} b^k / k!, in place: x + eye is
+    # eye + x, since IEEE addition commutes
+    result = b / _EXPM_ORDER
+    result += eye
     for k in range(_EXPM_ORDER - 1, 0, -1):
-        result = np.eye(n) + (b @ result) / k
+        result = b @ result
+        result /= k
+        result += eye
     for _ in range(squarings):
         result = result @ result
     return result

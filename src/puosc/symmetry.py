@@ -38,16 +38,25 @@ def commutator(x: Generator, y: Generator) -> Generator:
     return Generator(b @ a - a @ b)
 
 
-def solve_symmetries(p: PuParams) -> list[Generator]:
-    """Orthonormal-coefficient basis of {A : M A - A M = 0}.
+_EYE = np.eye(4)
+_EYE.setflags(write=False)
 
-    vec is taken column-major, so vec(MA) = (I (x) M) vec(A) and
-    vec(AM) = (M^T (x) I) vec(A).
+
+def _sylvester_operator(m: np.ndarray) -> np.ndarray:
+    """The 16x16 matrix of A -> M A - A M on column-major vec(A).
+
+    vec(MA) = (I (x) M) vec(A) and vec(AM) = (M^T (x) I) vec(A).  kron(a, b)
+    is a[:, None, :, None] * b[None, :, None, :] reshaped, so these are the
+    products ``np.kron(I, M) - np.kron(M.T, I)`` forms, bit for bit, without
+    kron's wrapper.
     """
-    m = companion_field(p)
-    eye = np.eye(4)
-    sylvester = np.kron(eye, m) - np.kron(m.T, eye)
-    basis = nullspace(sylvester)
+    return (_EYE[:, None, :, None] * m[None, :, None, :]
+            - m.T[:, None, :, None] * _EYE[None, :, None, :]).reshape(16, 16)
+
+
+def solve_symmetries(p: PuParams) -> list[Generator]:
+    """Orthonormal-coefficient basis of {A : M A - A M = 0}."""
+    basis = nullspace(_sylvester_operator(companion_field(p)))
     return [Generator(vec.reshape((4, 4), order="F")) for vec in basis]
 
 

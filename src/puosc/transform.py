@@ -27,6 +27,10 @@ KINDS = ("Ta1+", "Ta1-", "Ta2+", "Ta2-", "Tb1", "Tb2+", "Tb2-")
 
 # the canonical bracket {x_i, p_j} = delta_ij, read on (x, y, px, py)
 CANONICAL_XY = canonical_tensor().matrix
+# the form of x y on (x, y, px, py): g times it is Legendre's coupling term
+_XY_COUPLING = np.zeros((4, 4))
+_XY_COUPLING[0, 1] = _XY_COUPLING[1, 0] = 1.0
+_XY_COUPLING.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -225,13 +229,7 @@ def legendre(spec: TransformSpec) -> QuadHamiltonian:
         raise DegenerateLegendreError(
             f"{spec.kind}: ay = 0, use the reduced pullback route instead")
     return QuadHamiltonian._exact(np.diag([spec.bx, spec.by, 1.0 / spec.ax, 1.0 / spec.ay])
-                                  + spec.g * _xy_coupling())
-
-
-def _xy_coupling() -> np.ndarray:
-    c = np.zeros((4, 4))
-    c[0, 1] = c[1, 0] = 1.0
-    return c
+                                  + spec.g * _XY_COUPLING)
 
 
 def pullback_form(spec: TransformSpec) -> QuadHamiltonian:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
-from puosc import cli, verify
+from puosc import cli, dynamics, verify
 from puosc.cli import build_parser
 
 _AMPLITUDES = {"--A1": ("1", "0"), "--A2": ("0", "1"), "--B1": ("0", "1"), "--B2": ("1", "0")}
@@ -269,6 +269,17 @@ class TestFlowCommand:
         # more samples than numpy can shape: refused before anything is allocated
         r = run_cli("flow", "--omega1", "2", "--omega2", "1", "--steps", str(10 ** 30))
         assert r.returncode == 1 and r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+    def test_steps_above_the_cap_are_refused_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the step cap")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        steps = dynamics.MAX_STEPS + 1
+        r = run_cli("flow", "--omega1", "2", "--omega2", "1", "--steps", str(steps))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == (f"error: cannot take {steps} steps, "
+                            f"at most {dynamics.MAX_STEPS}: lower --steps\n")
 
     def test_zero_steps_gives_one_row(self):
         r = run_cli("flow", "--omega1", "2", "--omega2", "1", "--A1", "1", "--steps", "0")

@@ -1,12 +1,17 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from puosc.core import (PhaseState, PuParams, QuadHamiltonian, companion_field,
                         flow_residual, hamiltonian_h1, poisson_j1, poisson_j2)
-from puosc.dynamics import (ClassicalSolution, LinearField, _rk4,
+from puosc import dynamics
+from puosc.dynamics import (ClassicalSolution, LinearField, _antisym_from_params,
+                            _discovery_operator, _rk4,
                             Potential, PotentialField, Trajectory, charge_values,
                             conservation_report, cosine_potential,
                             cubic_potential, eval_solution,
@@ -123,6 +128,21 @@ class TestIntegration:
     def test_non_finite_step_or_end_rejected(self, p54, h, t_end):
         with pytest.raises(InvalidInputError, match="finite"):
             integrate(LinearField(p54), PhaseState(1, 0, 0, 0), h, t_end)
+
+    @pytest.mark.parametrize("t_end", [dynamics.MAX_STEPS + 1.0, 1e300])
+    def test_steps_above_the_cap_are_refused_before_allocating(self, p54, t_end, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the step cap")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(InvalidInputError, match=f"at most {dynamics.MAX_STEPS}: raise h"):
+            integrate(LinearField(p54), PhaseState(1, 0, 0, 0), 1.0, t_end)
+
+    def test_the_cap_itself_is_taken(self, p54, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+        assert len(integrate(LinearField(p54), PhaseState(1, 0, 0, 0), 0.5, 5.0).times) == 11
+        with pytest.raises(InvalidInputError, match="cannot take 11 steps, at most 10"):
+            integrate(LinearField(p54), PhaseState(1, 0, 0, 0), 0.5, 5.5)
 
 
 def vector_rk4(p, pot, w, h, n_steps):
@@ -296,6 +316,39 @@ class TestInteractionTransform:
                                   PhaseState(0.3, -0.2, 0.25, 0.1),
                                   h=1e-3, t_end=10.0)
         assert err <= 1e-6
+
+
+def _antisym_by_loop(c):
+    """K with upper triangle c, scattered entry by entry."""
+    k = np.zeros((4, 4))
+    for val, (i, j) in zip(c, itertools.combinations(range(4), 2)):
+        k[i, j] = val
+        k[j, i] = -val
+    return k
+
+
+_SIGNED_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestDiscoveryOperator:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(alpha=_SIGNED_FLOATS, beta=_SIGNED_FLOATS)
+    @example(alpha=0.0, beta=-2.0)
+    @example(alpha=-0.0, beta=-0.5)
+    def test_columns_are_the_matmuls_bit_for_bit(self, alpha, beta):
+        m = companion_field(PuParams(alpha, beta))
+        operator = _discovery_operator(m)
+        assert operator.shape == (16, 6) and operator.flags.c_contiguous
+        for j in range(6):
+            k = _antisym_by_loop(np.eye(6)[j])
+            assert operator[:, j].tobytes() == (k @ m + m.T @ k).ravel().tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.lists(_SIGNED_FLOATS, min_size=6, max_size=6))
+    def test_antisym_from_params_is_the_loop(self, c):
+        c = np.array(c)
+        assert _antisym_from_params(c).tobytes() == _antisym_by_loop(c).tobytes()
 
 
 class TestStructureDiscovery:

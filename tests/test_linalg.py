@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 import puosc
 from puosc.core import PuParams, companion_field, hamiltonian_h1, poisson_j1
 from puosc.errors import InvalidInputError, SingularMatrixError
-from puosc.linalg import (expm, frobenius, inverse, leading_minors, nullspace,
+from puosc.linalg import (_squarings, expm, frobenius, inverse, leading_minors, nullspace,
                           relative_residual, require_finite)
 
 
@@ -333,7 +333,18 @@ def test_every_parameter_is_read():
 
 class TestExpm:
     def test_zero_matrix(self):
-        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+        # exactly the identity, +0.0 off the diagonal, from +0.0 or -0.0
+        for n in range(9):
+            for zero in (np.zeros((n, n)), -np.zeros((n, n))):
+                assert expm(zero).tobytes() == np.eye(n).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(hnp.arrays(np.float64, st.integers(0, 6).map(lambda n: (n, n)), elements=st.one_of(
+        st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.05, 0.2, 1e-300]))))
+    def test_squaring_count_is_numpys_one_norm(self, a):
+        norm = np.linalg.norm(a, 1)
+        want = max(0, int(np.ceil(np.log2(norm / 0.1)))) if norm > 0.1 else 0
+        assert _squarings(a) == want
 
     def test_diagonal(self):
         got = expm(np.diag([1.0, 2.0]))

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from puosc.core import PhaseState, PuParams, companion_field, hamiltonian_h1, hamiltonian_h2
 from puosc.errors import InvalidRegimeError
 from puosc.hierarchy import charge_ladder
 from puosc.linalg import expm
-from puosc.symmetry import (Generator, act_on_hamiltonian, closed_form_flow,
-                            commutator, group_flow, solve_symmetries,
-                            standard_basis)
+from puosc.symmetry import (Generator, _sylvester_operator, act_on_hamiltonian,
+                            closed_form_flow, commutator, group_flow,
+                            solve_symmetries, standard_basis)
 from puosc.verify import random_freq_params, random_params
 
 
@@ -77,6 +80,18 @@ class TestSymmetrySolver:
             m = companion_field(p)
             for g in solve_symmetries(p):
                 assert np.linalg.norm(m @ g.matrix - g.matrix @ m) <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(hnp.arrays(np.float64, (4, 4), elements=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 1.0, -1.0]))))
+@example(companion_field(PuParams(0.0, -2.0)))
+@example(companion_field(PuParams(-0.0, 3.0)))
+def test_sylvester_operator_is_kron_bit_for_bit(m):
+    eye = np.eye(4)
+    want = np.kron(eye, m) - np.kron(m.T, eye)
+    got = _sylvester_operator(m)
+    assert got.shape == (16, 16) and got.tobytes() == want.tobytes()
 
 
 class TestStandardBasis:

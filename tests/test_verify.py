@@ -35,29 +35,6 @@ class TestWorst:
         assert _worst(None, None, [(2, measure)]) == (0.4, 2)
         assert measure(None, None) == [9.0]  # nothing drawn past the second counted draw
 
-    def test_draws_as_the_loop_it_replaced(self):
-        def measure(p, rng):
-            # below 0.3 a redraw, below 0.5 a counted draw without values
-            x = rng.uniform()
-            return None if x < 0.3 else [] if x < 0.5 else [x]
-
-        got, ref = np.random.default_rng(8), np.random.default_rng(8)
-        worst, samples = _worst(None, got, [(20, measure), (20, measure)])
-        # the loop each check wrote out before, once per measure
-        best, measured = 0.0, 0
-        for _ in range(2):
-            n = 0
-            while n < 20:
-                x = ref.uniform()
-                if x < 0.3:
-                    continue
-                if x >= 0.5:
-                    best = max(best, x)
-                    measured += 1
-                n += 1
-        assert worst == best > 0.5 and samples == measured < 40
-        assert got.uniform() == ref.uniform()
-
     def test_no_values_give_zero(self):
         assert _worst(None, None, [(5, lambda p, rng: ())]) == (0.0, 0)
 
