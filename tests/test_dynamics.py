@@ -332,7 +332,7 @@ _SIGNED_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3),
 
 
 class TestDiscoveryOperator:
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(derandomize=True, deadline=None, max_examples=100)
     @given(alpha=_SIGNED_FLOATS, beta=_SIGNED_FLOATS)
     @example(alpha=0.0, beta=-2.0)
     @example(alpha=-0.0, beta=-0.5)
@@ -344,7 +344,7 @@ class TestDiscoveryOperator:
             k = _antisym_by_loop(np.eye(6)[j])
             assert operator[:, j].tobytes() == (k @ m + m.T @ k).ravel().tobytes()
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(derandomize=True, deadline=None, max_examples=50)
     @given(st.lists(_SIGNED_FLOATS, min_size=6, max_size=6))
     def test_antisym_from_params_is_the_loop(self, c):
         c = np.array(c)

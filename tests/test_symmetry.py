@@ -82,7 +82,7 @@ class TestSymmetrySolver:
                 assert np.linalg.norm(m @ g.matrix - g.matrix @ m) <= 1e-10
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, deadline=None, max_examples=100)
 @given(hnp.arrays(np.float64, (4, 4), elements=st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 1.0, -1.0]))))
 @example(companion_field(PuParams(0.0, -2.0)))
