@@ -3,7 +3,7 @@
     python3 tools/snapshot.py OUTDIR
 
 runs this checkout's ``puosc.cli.main`` (from the ``src`` next to this
-script) and writes 69 files into OUTDIR:
+script) and writes 71 files into OUTDIR:
 
 - ``verify-S.json``: the 40 ``verify --omega1 2 --omega2 1 --seed S``
   reports, S = 0..39;
@@ -14,8 +14,10 @@ script) and writes 69 files into OUTDIR:
   are almost all in ``e-0X`` notation, and ``simulate-blow-up.csv``, the
   README's diverging example, with ``inf``, ``-inf`` and ``e+244`` cells;
 - ``hierarchy.csv``, ``hierarchy.json``, three ``transform-*.json`` reports,
-  ``discover.json``, three ``flow-*.csv`` curves and ``flow-zero.csv``, a
-  20,001-row zero-amplitude curve whose cells are ``0`` but for its times.
+  ``discover.json``, three ``flow-*.csv`` curves, ``flow-zero.csv``, a
+  20,001-row zero-amplitude curve whose cells are ``0`` but for its times,
+  ``flow-long.csv``, a 20,001-row X3 curve, and ``flow-degenerate.csv``, an
+  X4 curve at omega = (1, 1) with its secular term.
 
 It prints a ``# python X numpy Y`` header, then one ``sha256 name exit-code``
 line per command.  ``tools/snapshot.sha256`` is that output, committed; to
@@ -71,6 +73,10 @@ def commands():
         yield f"flow-{gen}.csv", ["flow", *OMEGA, "--generator", gen, "--s", "0.7",
                                   "--A1", "1", "--B2", "-0.4", "--steps", "50"]
     yield "flow-zero.csv", ["flow", *OMEGA, "--steps", "20000"]
+    yield "flow-long.csv", ["flow", *OMEGA, "--generator", "X3", "--s", "0.7", "--A1", "1",
+                            "--B2", "-0.4", "--steps", "20000", "--t-end", "20"]
+    yield "flow-degenerate.csv", ["flow", "--omega1", "1", "--omega2", "1", "--generator", "X4",
+                                  "--s", "0.5", "--A1", "1", "--B1", "0.3", "--steps", "2000"]
 
 
 def main(argv=None) -> int:
