@@ -37,8 +37,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics, hierarchy, symmetry, transform, verify
-from .core import PuParams, flow_residual, hamiltonian_h1, hamiltonian_h2
+from .core import PuParams, flow_residual, require_finite_states
 from .errors import DivergenceError, InvalidInputError, PuError
+from .linalg import expm
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
@@ -269,11 +270,13 @@ def _csv_text(block: np.ndarray) -> str:
     return text.decode("ascii")
 
 
-def _csv(header: list[str], table: np.ndarray) -> Iterator[str]:
-    """The header line, then the rows of a 2-D table in blocks of lines."""
+def _csv(header: list[str], tables: Iterable[np.ndarray]) -> Iterator[str]:
+    """The header line, then the rows of each 2-D table in turn, in blocks of
+    lines; a table is read to its end before the next one is asked for."""
     yield ",".join(header) + "\n"
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        yield _csv_text(table[start:start + _CSV_BLOCK_ROWS])
+    for table in tables:
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            yield _csv_text(table[start:start + _CSV_BLOCK_ROWS])
 
 
 def _json_dump(obj) -> list[str]:
@@ -405,7 +408,7 @@ def _cmd_hierarchy(parser, args, p: PuParams) -> int:
                                 "p_n": r[3]} for r in rows]}
         _emit(_json_dump(payload), args.out)
     else:
-        _emit(_csv(["n", "c_h1", "c_h2", "p_n"], np.array(rows)), args.out)
+        _emit(_csv(["n", "c_h1", "c_h2", "p_n"], [np.array(rows)]), args.out)
     return 0
 
 
@@ -452,11 +455,32 @@ def _cmd_flow(parser, args, p: PuParams) -> int:
         raise InvalidInputError(f"cannot take {args.steps:.12g} steps, "
                                 f"at most {dynamics.MAX_STEPS}: lower --steps")
     times = np.linspace(0.0, args.t_end, args.steps + 1)
-    states = [(t, dynamics.eval_solution(sol, t)) for t in times]
-    rows = [[t, st.q, st.qd, st.qdd, st.qddd]
-            for t, st in symmetry.flow_curve(gens[args.generator], args.s, states)]
-    _emit(_csv(["t", "q", "qd", "qdd", "qddd"], np.array(rows)), args.out)
+    states = dynamics.eval_solution(sol, times)
+    # phi_s(v) = exp(sX) v for each state, as a stack of matvecs: the
+    # product states @ exp(sX).T rounds differently
+    flowed = np.matmul(expm(args.s * gens[args.generator].matrix), states[:, :, None])
+    table = np.column_stack([times, require_finite_states(flowed[:, :, 0])])
+    _emit(_csv(["t", "q", "qd", "qdd", "qddd"], [table]), args.out)
     return 0
+
+
+def _simulate_tables(traj: dynamics.Trajectory, charges, pot) -> Iterator[np.ndarray]:
+    """simulate's rows (t, the state, H1..H4 and, with a potential, Hint),
+    one block of the trajectory at a time, each written over the last in one
+    table.  Hint is the base charge's column (H1 for an on_q potential, H2
+    for on_qdd) plus the potential: ``charge_values`` with ``augment`` makes
+    the same two operations."""
+    table = np.empty((min(len(traj.times), dynamics.BLOCK_ROWS), 9 + (pot is not None)))
+    for part in traj.blocks():
+        rows = table[:len(part.times)]
+        rows[:, 0] = part.times
+        rows[:, 1:5] = part.states
+        for i, charge in enumerate(charges, start=5):
+            rows[:, i] = dynamics.charge_values(part, charge)
+        if pot is not None:
+            base = rows[:, 5 if pot.kind == "on_q" else 6]
+            np.add(base, dynamics.potential_values(part, pot), out=rows[:, 9])
+        yield rows
 
 
 def _cmd_simulate(parser, args, p: PuParams) -> int:
@@ -479,15 +503,9 @@ def _cmd_simulate(parser, args, p: PuParams) -> int:
         diverged = exc
         traj = dynamics.Trajectory(times=np.arange(len(exc.states)) * args.h,
                                    states=exc.states)
-    charges = list(hierarchy.charge_ladder(p, 4).charges)
-    header = ["t", "q", "qd", "qdd", "qddd", "H1", "H2", "H3", "H4"]
-    columns = [traj.times] + [traj.states[:, i] for i in range(4)]
-    columns += [dynamics.charge_values(traj, c) for c in charges]
-    if pot is not None:
-        base = hamiltonian_h1(p) if pot.kind == "on_q" else hamiltonian_h2(p)
-        header.append("Hint")
-        columns.append(dynamics.charge_values(traj, base, augment=pot))
-    _emit(_csv(header, np.column_stack(columns)), args.out)
+    header = ["t", "q", "qd", "qdd", "qddd", "H1", "H2", "H3", "H4"] + ["Hint"] * (pot is not None)
+    tables = _simulate_tables(traj, hierarchy.charge_ladder(p, 4).charges, pot)
+    _emit(_csv(header, tables), args.out)
     if diverged is not None:
         print(f"error: {diverged}", file=sys.stderr)
         return 1

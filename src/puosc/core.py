@@ -159,6 +159,17 @@ def _memoized(fn):
     return wrapper
 
 
+_NON_FINITE_STATE = "phase state has non-finite entries"
+
+
+def require_finite_states(states: np.ndarray) -> np.ndarray:
+    """Return an array whose rows are phase states once every entry is
+    finite; otherwise raise the InvalidInputError that PhaseState raises."""
+    if not np.isfinite(states).all():
+        raise InvalidInputError(_NON_FINITE_STATE)
+    return states
+
+
 @dataclass(frozen=True)
 class PhaseState:
     """The phase vector (q, qd, qdd, qddd)."""
@@ -170,7 +181,7 @@ class PhaseState:
 
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (self.q, self.qd, self.qdd, self.qddd)):
-            raise InvalidInputError("phase state has non-finite entries")
+            raise InvalidInputError(_NON_FINITE_STATE)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q, self.qd, self.qdd, self.qddd])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -43,8 +43,9 @@ class ClassicalSolution:
         solution_terms(self.regime, self.amplitudes, self.p)
 
 
-def eval_solution(sol: ClassicalSolution, t: float) -> PhaseState:
-    """Exact phase state of the general solution at time t."""
+def eval_solution(sol: ClassicalSolution, t):
+    """Exact phase state of the general solution at a float time t, or the
+    (n, 4) array of its states at an array of n times."""
     return phase_state(solution_terms(sol.regime, sol.amplitudes, sol.p), t)
 
 
@@ -146,6 +147,12 @@ class PotentialField(LinearField):
         self.rhs = rhs
 
 
+# rows of a trajectory whose derived columns (charges, potential) are held
+# at once: simulate's CSV and conservation_report walk a trajectory in
+# blocks of this many rows, so their extra memory does not grow with it
+BLOCK_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
@@ -153,6 +160,13 @@ class Trajectory:
 
     def final_state(self) -> PhaseState:
         return PhaseState.from_array(self.states[-1])
+
+    def blocks(self) -> Iterator[Trajectory]:
+        """The trajectory as views of consecutive pieces of BLOCK_ROWS rows
+        (the last one shorter)."""
+        for start in range(0, len(self.times), BLOCK_ROWS):
+            stop = start + BLOCK_ROWS
+            yield Trajectory(self.times[start:stop], self.states[start:stop])
 
 
 _CHUNK = 1024  # steps buffered between writes into the state array
@@ -290,24 +304,38 @@ def charge_values(traj: Trajectory, charge: QuadHamiltonian,
             acc += term
         vals = 0.5 * acc
         if augment is not None:
-            col = x[:, 0 if augment.kind == "on_q" else 2]
-            try:
-                extra = np.fromiter(map(augment.value, col.tolist()), float, len(x))
-            except OverflowError:
-                # float ** n raises where numpy's float64 returns inf
-                extra = np.array([augment.value(v) for v in col])
-            vals = vals + extra
+            vals = vals + potential_values(traj, augment)
     return vals
+
+
+def potential_values(traj: Trajectory, pot: Potential) -> np.ndarray:
+    """V(q) along a trajectory, or W(qdd) for an on_qdd potential."""
+    col = traj.states[:, 0 if pot.kind == "on_q" else 2]
+    try:
+        return np.fromiter(map(pot.value, col.tolist()), float, len(col))
+    except OverflowError:
+        # float ** n raises where numpy's float64 returns inf, which it
+        # does here without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array([pot.value(v) for v in col])
 
 
 def conservation_report(traj: Trajectory, charges: list[QuadHamiltonian],
                         augment: Potential | None = None) -> list[float]:
-    """Max relative drift per charge: max_t |H(t) - H(0)| / (1 + |H(0)|)."""
-    drifts = []
-    for charge in charges:
-        vals = charge_values(traj, charge, augment)
-        drifts.append(float(np.max(np.abs(vals - vals[0])) / (1.0 + abs(vals[0]))))
-    return drifts
+    """Max relative drift per charge: max_t |H(t) - H(0)| / (1 + |H(0)|).
+
+    The charges are evaluated block by block of the trajectory and the
+    maxima kept as they run.  A max is exact and np.maximum keeps a nan, so
+    the drifts have the bits of one pass over all rows.
+    """
+    first = worst = None
+    for part in traj.blocks():
+        vals = [charge_values(part, charge, augment) for charge in charges]
+        if first is None:
+            first = [v[0] for v in vals]
+        tops = [np.max(np.abs(v - v0)) for v, v0 in zip(vals, first)]
+        worst = tops if worst is None else list(map(np.maximum, worst, tops))
+    return [float(w / (1.0 + abs(v0))) for w, v0 in zip(worst, first)]
 
 
 # ---------------------------------------------------------------------------

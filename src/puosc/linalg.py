@@ -124,9 +124,16 @@ def relative_residual(x: np.ndarray, y: np.ndarray) -> float:
 def _squarings(a: np.ndarray) -> int:
     """How often ``expm`` squares: the least s >= 0 with ||a||_1 / 2**s <=
     _EXPM_THETA, up to the rounding of log2.  The 1-norm, the largest column
-    sum of |a|, is taken as ``np.linalg.norm(a, 1)`` takes it."""
+    sum of |a|, is taken as ``np.linalg.norm(a, 1)`` takes it.  Raises
+    InvalidInputError where ||a||_1 / _EXPM_THETA overflows, as it may for a
+    finite matrix; exp(a) then overflows too."""
     norm = np.add.reduce(np.abs(a), axis=0).max(initial=0.0)
-    return max(0, int(np.ceil(np.log2(norm / _EXPM_THETA)))) if norm > _EXPM_THETA else 0
+    if norm <= _EXPM_THETA:
+        return 0
+    ratio = norm / _EXPM_THETA
+    if ratio == math.inf:
+        raise InvalidInputError(f"matrix 1-norm {norm:.6g} is too large for expm")
+    return max(0, int(np.ceil(np.log2(ratio))))
 
 
 def expm(m) -> np.ndarray:

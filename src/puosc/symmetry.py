@@ -82,13 +82,6 @@ def group_flow(x: Generator, s: float, v0: PhaseState) -> PhaseState:
     return PhaseState.from_array(expm(s * x.matrix) @ v0.as_array())
 
 
-def flow_curve(x: Generator, s: float, states: list[tuple[float, PhaseState]]
-               ) -> list[tuple[float, PhaseState]]:
-    """The (t, phi_s(state)) samples of a trajectory's (t, state) samples."""
-    mat = expm(s * x.matrix)
-    return [(t, PhaseState.from_array(mat @ v.as_array())) for t, v in states]
-
-
 def _check_regime(p: PuParams, regime: str) -> tuple[float, float]:
     w1, w2 = p.frequencies()
     degenerate = p.degenerate
@@ -119,9 +112,9 @@ def solution_terms(regime: str, amplitudes, p: PuParams) -> list[TrigTerm]:
     ]
 
 
-def closed_form_flow(which: str, regime: str, amplitudes, p: PuParams,
-                     t: float, s: float) -> PhaseState:
-    """Closed-form group flow phi_s of the classical solution at time t.
+def closed_form_flow(which: str, regime: str, amplitudes, p: PuParams, t, s: float):
+    """Closed-form group flow phi_s of the classical solution at a float time
+    t (a PhaseState), or at an array of n times (an (n, 4) array of states).
 
     ``which`` selects X2 (dilation), X3 (frequency-weighted rescaling with a
     secular shift in the degenerate case) or X4 (mode-dependent time shift).

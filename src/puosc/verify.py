@@ -25,7 +25,7 @@ from .core import (PhaseState, PuParams, _memoized, canonical_tensor,
                    ostrogradsky_hamiltonian, ostrogradsky_matrix, poisson_j1,
                    poisson_j2)
 from .errors import PuError, SingularStructureError
-from .modes import d_dt, eval_terms
+from .modes import derivatives
 
 RESOLVED = {
     "combined-structure-coefficient-numerator":
@@ -315,13 +315,10 @@ def _ode_residual(regime, p, rng):
     pp = _regime_params(regime, rng)
     sol = dynamics.ClassicalSolution(pp, tuple(_uniform(rng, -1.0, 1.0, 4)), regime)
     t = _uniform(rng, 0.0, 10.0)
-    v = dynamics.eval_solution(sol, t)
-    vdot_last = float((companion_field(pp) @ v.as_array())[3])
-    # q'''' from one more exact derivative
-    terms = symmetry.solution_terms(regime, sol.amplitudes, pp)
-    for _ in range(4):
-        terms = d_dt(terms)
-    return (abs(eval_terms(terms, t) - vdot_last),)
+    # the phase state and q'''', one exact derivative more
+    *v, q4 = derivatives(symmetry.solution_terms(regime, sol.amplitudes, pp), t, 5)
+    vdot_last = float((companion_field(pp) @ np.array(v))[3])
+    return (abs(q4 - vdot_last),)
 
 
 def _defining(kind, p, rng):
@@ -575,7 +572,7 @@ def _rk4(p, rng):
     v0 = dynamics.eval_solution(sol, 0.0)
     traj = _reference_orbit(pp)
     every = slice(0, 10001, 200)
-    exact = [dynamics.eval_solution(sol, t).as_array() for t in traj.times[every]]
+    exact = dynamics.eval_solution(sol, traj.times[every])
     end = dynamics.eval_solution(sol, 10.0).as_array()
     coarse, fine = (np.max(np.abs(dynamics.integrate(dynamics.LinearField(pp), v0, h, 10.0)
                                   .final_state().as_array() - end)) for h in (0.02, 0.01))
@@ -598,11 +595,11 @@ def _conservation(p, rng):
 
 
 def _check_degenerate_growth(p, rng, tol):
-    # q alone: the first value of eval_solution's phase state
     terms = symmetry.solution_terms("degenerate", (0.0, 0.0, 1.0, 0.0),
                                     PuParams.from_frequencies(1.0, 1.0))
-    early = max(abs(eval_terms(terms, t)) for t in np.linspace(0.0, 2.0, 80))
-    late = max(abs(eval_terms(terms, t)) for t in np.linspace(18.0, 20.0, 80))
+    # q alone, the first of the derivatives, over each window of 80 times
+    early, late = (float(np.max(np.abs(derivatives(terms, np.linspace(a, a + 2.0, 80), 1)[0])))
+                   for a in (0.0, 18.0))
     return late > 5.0 * early, late / max(early, 1e-30), 160
 
 

@@ -281,6 +281,31 @@ class TestFlowCommand:
         assert r.stderr == (f"error: cannot take {steps} steps, "
                             f"at most {dynamics.MAX_STEPS}: lower --steps\n")
 
+    @pytest.mark.parametrize("s, message", [
+        ("1e200", "phase state has non-finite entries"),
+        ("1e308", "matrix 1-norm 5e+307 is too large for expm"),
+    ], ids=["non-finite-state", "overflowing-norm"])
+    def test_overflowing_flow_is_one_error_line_and_no_file(self, s, message, tmp_path):
+        out = tmp_path / "curve.csv"
+        r = run_cli("flow", "--omega1", "2", "--omega2", "1", "--A1", "1", "--s", s,
+                    "--generator", "X2", "--steps", "5", "--out", str(out))
+        assert (r.returncode, r.stdout, r.stderr) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_traced_peak_below_twice_the_csv(self, tmp_path):
+        """The curve is evaluated as arrays over its time grid, with no
+        object per sample."""
+        out = tmp_path / "curve.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main(["flow", "--omega1", "2", "--omega2", "1", "--A1", "1",
+                             "--steps", "20000", "--t-end", "20", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * out.stat().st_size
+
     def test_zero_steps_gives_one_row(self):
         r = run_cli("flow", "--omega1", "2", "--omega2", "1", "--A1", "1", "--steps", "0")
         assert r.returncode == 0
@@ -382,6 +407,23 @@ class TestSimulateCommand:
         assert code == 0
         assert peak < 2 * out.stat().st_size
 
+    def test_traced_peak_grows_by_the_trajectory_alone(self, tmp_path):
+        """The charge columns are built one block of the trajectory at a
+        time, so 18,000 more steps add to the traced peak little more than
+        the trajectory's 40 bytes (time and state) per step."""
+        argv = ["simulate", "--omega1", "2", "--omega2", "1", "--A1", "0.3", "--h", "1e-2",
+                "--potential", "quartic:lam=0.25"]
+        peaks = []
+        for t_end in ("20", "200"):
+            tracemalloc.start()
+            try:
+                code = cli.main([*argv, "--t-end", t_end, "--out", str(tmp_path / "traj.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] - peaks[0] <= 80 * 18000
+
     def test_csv_round_trip_exact(self, tmp_path):
         out = tmp_path / "traj.csv"
         r = run_cli("simulate", "--omega1", "2", "--omega2", "1", "--A2", "1",
@@ -429,7 +471,7 @@ class TestCsvNumbers:
     def test_every_cell_is_percent_17g(self, rows):
         table = np.array(rows, dtype=float).reshape(len(rows), -1)
         header = [f"c{k}" for k in range(table.shape[1])]
-        assert "".join(cli._csv(header, table)) == _percent_g_csv(header, table)
+        assert "".join(cli._csv(header, [table])) == _percent_g_csv(header, table)
 
     @pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1023, 1024, 1025])
     def test_block_edges(self, rows):
@@ -438,11 +480,11 @@ class TestCsvNumbers:
         table = np.where(rng.random((rows, 3)) < 0.5, bits.view(np.float64),
                          rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-6, 18, (rows, 3)))
         header = ["a", "b", "c"]
-        assert "".join(cli._csv(header, table)) == _percent_g_csv(header, table)
+        assert "".join(cli._csv(header, [table])) == _percent_g_csv(header, table)
 
     def test_every_edge_value(self):
         table = np.array(_EDGE_FLOATS).reshape(-1, 2)
-        assert "".join(cli._csv(["x", "y"], table)) == _percent_g_csv(["x", "y"], table)
+        assert "".join(cli._csv(["x", "y"], [table])) == _percent_g_csv(["x", "y"], table)
 
     def test_powers_of_ten_and_their_neighbours(self):
         """The double nearest 10**k may lie below it by less than half a unit
@@ -452,7 +494,7 @@ class TestCsvNumbers:
         table = np.column_stack([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
                                  -powers])
         header = ["p", "below", "above", "minus"]
-        assert "".join(cli._csv(header, table)) == _percent_g_csv(header, table)
+        assert "".join(cli._csv(header, [table])) == _percent_g_csv(header, table)
 
 
 class TestDiscoverCommand:

@@ -25,6 +25,7 @@ from puosc.errors import (ComplexBranchError, ConstructionError,
                           ParameterDomainError)
 from puosc.hierarchy import charge_ladder, coefficients_on_h1h2
 from puosc.linalg import inverse
+from puosc.symmetry import closed_form_flow, solution_terms
 from puosc.transform import XYState, build, inverse as inverse_map
 from puosc.verify import (_nondegenerate, _reference_orbit, random_freq_params,
                           random_params)
@@ -50,6 +51,47 @@ class TestClassicalSolution:
     def test_regime_mismatch_rejected(self, p54):
         with pytest.raises(InvalidRegimeError):
             ClassicalSolution(p54, (1, 0, 0, 0), "degenerate")
+
+    @pytest.mark.parametrize("omegas, regime, amplitudes", [
+        ((2.0, 1.0), "nondegenerate", (1.0, 0.0, 0.0, -0.4)),
+        ((1.0, 1.0), "degenerate", (1.0, 0.0, 0.3, 0.0)),
+    ], ids=["nondegenerate", "degenerate"])
+    def test_grid_rows_are_the_states_at_each_time(self, omegas, regime, amplitudes):
+        p = PuParams.from_frequencies(*omegas)
+        sol = ClassicalSolution(p, amplitudes, regime)
+        times = np.linspace(0.0, 20.0, 401)
+
+        def alone(state_at):
+            return np.array([state_at(t).as_array() for t in times.tolist()]).tobytes()
+        assert eval_solution(sol, times).tobytes() == alone(lambda t: eval_solution(sol, t))
+        for which in ("X2", "X3", "X4"):
+            grid = closed_form_flow(which, regime, amplitudes, p, times, 0.7)
+            assert grid.tobytes() == alone(
+                lambda t: closed_form_flow(which, regime, amplitudes, p, t, 0.7))
+
+    @pytest.mark.parametrize("omegas, regime, steps, t_end", [
+        ((2.0, 1.0), "nondegenerate", 20000, 20.0),
+        ((1.0, 1.0), "degenerate", 2000, 10.0),
+    ], ids=["flow-long", "flow-degenerate"])
+    def test_numpy_trig_is_math_trig_on_the_flow_arguments(self, omegas, regime, steps, t_end):
+        """A grid takes np.sin/np.cos where a float time takes math.sin/
+        math.cos, and numpy picks its loop by CPU: pin the two against each
+        other on the arguments of ``puosc flow``'s time grid."""
+        p = PuParams.from_frequencies(*omegas)
+        times = np.linspace(0.0, t_end, steps + 1)
+        for u in solution_terms(regime, (1.0, 1.0, 1.0, 1.0), p):
+            arg = u.omega * (times + u.shift)
+            for grid, alone in ((np.sin, math.sin), (np.cos, math.cos)):
+                assert grid(arg).tobytes() == np.array(list(map(alone, arg.tolist()))).tobytes()
+
+    def test_non_finite_state_raises_on_a_grid_too(self):
+        sol = ClassicalSolution(PuParams.from_frequencies(1.0, 1.0), (0.0, 0.0, 1e308, 0.0),
+                                "degenerate")
+        # numpy's overflow warning on the grid is not what this test is about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in (10.0, np.array([0.0, 10.0])):
+                with pytest.raises(InvalidInputError, match="phase state has non-finite entries"):
+                    eval_solution(sol, t)
 
 
 class TestPotentials:
@@ -233,6 +275,23 @@ class TestConservation:
         traj = integrate(LinearField(p54), v0, 1e-3, 50.0)
         charges = list(charge_ladder(p54, 6).charges)
         assert max(conservation_report(traj, charges)) <= 1e-8
+
+    @pytest.mark.parametrize("rows", [1, 7, 8, 30])
+    def test_drift_by_blocks_is_the_one_pass_drift(self, p54, rows, monkeypatch):
+        """Blocks of 7 rows; at 30 rows a nan sits in the third block."""
+        monkeypatch.setattr(dynamics, "BLOCK_ROWS", 7)
+        states = np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, 4))
+        if rows == 30:
+            states[17, 2] = math.nan
+        traj = Trajectory(np.arange(rows) * 0.1, states)
+        charges = list(charge_ladder(p54, 4).charges)
+        for augment in (None, quartic_potential(0.25)):
+            want = []
+            for charge in charges:
+                vals = charge_values(traj, charge, augment)
+                want.append(float(np.max(np.abs(vals - vals[0])) / (1.0 + abs(vals[0]))))
+            got = conservation_report(traj, charges, augment)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_constant_trajectory_has_zero_drift(self, p54):
         traj = integrate(LinearField(p54), PhaseState(0, 0, 0, 0), 1e-2, 1.0)

@@ -346,6 +346,13 @@ class TestExpm:
         want = max(0, int(np.ceil(np.log2(norm / 0.1)))) if norm > 0.1 else 0
         assert _squarings(a) == want
 
+    @pytest.mark.parametrize("a", [np.full((2, 2), 1e308), 5e307 * np.eye(4)],
+                             ids=["norm-overflows", "norm-over-theta-overflows"])
+    def test_overflowing_one_norm_is_refused(self, a):
+        # numpy's overflow warning on the way is not what this test is about
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="too large"):
+            expm(a)
+
     def test_diagonal(self):
         got = expm(np.diag([1.0, 2.0]))
         assert np.allclose(got, np.diag([math.e, math.e ** 2]), rtol=1e-12)
