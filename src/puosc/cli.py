@@ -15,11 +15,13 @@ which holds for every cell that %.17g writes without an exponent, Dekker's
 error-free product gives that rounding from exact values, ties included.
 Elsewhere the scale is a double-double, which leaves the product within about
 1e-14 of exact, so the rounding is certain unless the product lies within
-2**-20 of a tie.  The digits of N, a sign, a "0.000" lead, a dot and an
-"e+XX" suffix then fill a NUL-padded byte row per cell, and dropping the NUL
-bytes gives the text.  A cell whose exponent or rounding is not certain, a
-non-finite or subnormal value and an exponent outside the table are
-formatted by %.17g itself, in one batch per block.
+2**-20 of a tie.  Each cell then fills 32 bytes, four little-endian uint64
+words: the sign and a "0.000" lead (bytes 0-5); the digits of N with the dot
+among them (bytes 8-25); the "e+XX" suffix (bytes 26-30) and the separator
+(byte 31).  The lead and the suffix are one word each from a table indexed
+by E, and dropping the NUL bytes gives the text.  A cell whose exponent or
+rounding is not certain, a non-finite or subnormal value and an exponent
+outside the table are formatted by %.17g itself, in one batch per block.
 """
 from __future__ import annotations
 
@@ -72,10 +74,11 @@ _CSV_BLOCK_ROWS = 512
 # path: its scale 10**(16 - E) is a normal double-double, and |x| times
 # 2**27 + 1 stays finite for the split.
 _E_MIN, _E_MAX = -292, 299
-# byte slots of one cell: sign, "0.000" lead, 17 digits with the dot among
-# them, "e+XXX", separator; the NUL bytes left over are dropped
-_LEAD, _BODY, _EXP, _SEP = slice(1, 6), slice(6, 24), slice(24, 29), 29
-_CELL = 30
+# one cell is 32 bytes, four uint64 words: word 0 holds the sign (byte 0)
+# and the "0.000" lead (bytes 1-5); bytes 8-25 the 17 digits with the dot
+# among them; word 3 the body's last two bytes, "e+XXX" (bytes 26-30) and the
+# separator (byte 31).  The NUL bytes left over are dropped.
+_BODY, _SEP, _CELL = 8, 31, 32
 
 
 def _split(x):
@@ -92,6 +95,12 @@ def _byte_rows(texts, width):
     return np.array(texts, f"S{width}").view(np.uint8).reshape(len(texts), width)
 
 
+def _words(texts, at):
+    """ASCII texts of at most 8 - at bytes, each placed at byte at of a
+    NUL-padded little-endian uint64."""
+    return _byte_rows([b"\0" * at + text for text in texts], 8).view("<u8").ravel()
+
+
 class _Tables(NamedTuple):
     """The lookup tables of the CSV formatter, indexed by E - _E_MIN or by a
     group q of four digits."""
@@ -101,12 +110,12 @@ class _Tables(NamedTuple):
     h1: np.ndarray  # hi's split
     h2: np.ndarray
     exact: np.ndarray  # lo == 0
-    leads: np.ndarray  # "0." and -E - 1 zeros before a fixed cell below 1
-    exps: np.ndarray  # "e+XX" of a scientific cell
+    leads: np.ndarray  # word 0: "0." and -E - 1 zeros before a fixed cell below 1, at bytes 1-5
+    exps: np.ndarray  # word 3: "e+XX" of a scientific cell, at bytes 2-6
     whole: np.ndarray  # digits before the dot
     quads: np.ndarray  # the four ASCII digits of q as one little-endian uint32
     quad_kept: np.ndarray  # how many of them run up to the last that is not "0"; -99 for 0000
-    keep: np.ndarray  # [w, k]: byte mask of digit word w that keeps the first k digits
+    keep: np.ndarray  # [k, w]: byte mask of digit word w that keeps the first k digits
 
 
 @functools.cache
@@ -140,13 +149,13 @@ def _tables() -> _Tables:
     quad_kept[0] = -99
     tables = _Tables(
         hi, lo, h1 / shrink, h2 / shrink, lo == 0.0,
-        leads=_byte_rows([b"0." + b"0" * (-e - 1) if f and e < 0 else b""
-                          for e, f in zip(exponents, fixed)], 5),
-        exps=_byte_rows([b"" if f else b"e%+03d" % e for e, f in zip(exponents, fixed)], 5),
+        leads=_words([b"0." + b"0" * (-e - 1) if f and e < 0 else b""
+                      for e, f in zip(exponents, fixed)], 1),
+        exps=_words([b"" if f else b"e%+03d" % e for e, f in zip(exponents, fixed)], 2),
         whole=np.array([max(e + 1, 0) if f else 1 for e, f in zip(exponents, fixed)], np.int8),
         quads=quads.view("<u4").ravel(), quad_kept=quad_kept,
-        keep=np.array([[(1 << 8 * min(max(k - 4 * w, 0), 4)) - 1 for k in range(18)]
-                       for w in range(5)], "<u4"))
+        keep=np.array([[(1 << 8 * min(max(k - 4 * w, 0), 4)) - 1 for w in range(5)]
+                       for k in range(18)], "<u4"))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -201,7 +210,7 @@ def _digit_words(x):
     a = np.abs(x)
     usable = (a >= 1e-290) & (a < 1e299)  # not zero, subnormal, huge, nan or inf
     a[~usable] = 1.0
-    i = np.floor(np.log10(a)).astype(np.int16)
+    i = np.floor(np.log10(a)).astype(np.intp)
     i -= _E_MIN
     n, sure = _scaled_digits(a, i)
     del a
@@ -224,44 +233,43 @@ def _digit_words(x):
     words[:, 4] = n + 48
     kept[n != 0] = 17
     del n
-    shown = np.maximum(kept, np.take(tables.whole, i))
-    for w in range(5):
-        words[:, w] &= np.take(tables.keep[w], shown)
+    words &= np.take(tables.keep, np.maximum(kept, np.take(tables.whole, i)), axis=0)
     return words, i, kept, fallback
 
 
 def _cells(x):
-    """The NUL-padded byte rows (sign, lead, digits and dot, exponent) of the
-    cells of the 1-D float array x; the separator slot is left NUL."""
+    """The (n, 4) uint64 words (sign and lead, digits and dot, exponent) of
+    the cells of the 1-D float array x; the separator byte is left NUL."""
     words, i, kept, fallback = _digit_words(x)
     tables = _tables()
-    digits = words.view(np.uint8)[:, :17]
-    whole = np.take(tables.whole, i)
-    out = np.zeros((x.size, _CELL), np.uint8)
-    out[:, 0] = np.signbit(x)
-    out[:, 0] *= 45  # "-"
-    np.take(tables.leads, i, axis=0, out=out[:, _LEAD])
+    cells = np.empty((x.size, 4), "<u8")
+    cells[:, 1] = 0  # byte 8 stays NUL where no whole digit is copied in
+    cells[:, 3] = np.take(tables.exps, i)
     # the digits, moved one right past the whole ones to make room for the dot
-    body = out[:, _BODY]
+    out = cells.view(np.uint8)
+    digits = words.view(np.uint8)[:, :17]
+    body = out[:, _BODY:_BODY + 18]
     body[:, 1:] = digits
+    whole = np.take(tables.whole, i)
     for j in range(whole.max()):
         np.copyto(body[:, j], digits[:, j], where=whole > j)
     del words, digits
+    cells[:, 0] = np.take(tables.leads, i)
+    out[:, 0] |= np.signbit(x) * np.uint8(45)  # "-"
     dot = (kept > whole) & (whole > 0)
-    out.ravel()[np.arange(_BODY.start, out.size, _CELL) + whole] = dot * np.uint8(46)  # "."
-    np.take(tables.exps, i, axis=0, out=out[:, _EXP])
+    out.ravel()[np.arange(_BODY, out.size, _CELL) + whole] = dot * np.uint8(46)  # "."
     slow = np.flatnonzero(fallback)
     if slow.size:
         out[slow] = 0
         out[slow, :24] = _byte_rows(["%.17g" % v for v in x[slow].tolist()], 24)
-    return out
+    return cells
 
 
 def _csv_text(block: np.ndarray) -> str:
     """The CSV lines of a 2-D float block, each cell ``'%.17g' % v`` (see
     the module docstring)."""
     rows, cols = block.shape
-    cells = _cells(block.ravel()).reshape(rows, cols, _CELL)
+    cells = _cells(block.ravel()).view(np.uint8).reshape(rows, cols, _CELL)
     cells[:, :-1, _SEP] = 44  # ","
     cells[:, -1, _SEP] = 10  # "\n"
     text = cells.tobytes()

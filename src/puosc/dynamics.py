@@ -3,15 +3,17 @@
 Integration is fixed-step classical RK4: the systems are small and smooth,
 and a reproducible grid keeps conservation-drift assertions meaningful.
 
-The RK4 loop steps four Python floats, and the fields give a scalar
-right-hand side ``rhs(x0, x1, x2, x3) -> (f0, f1, f2, f3)``.  Numpy
-4-vectors and a 4x4 matvec per stage cost about ten times as much per step
-in interpreter overhead.  The float loop does the same IEEE operations in
-the same order (the matvec's zero products drop out exactly), so its
-trajectories are bit-identical to the vector form's.  ``LinearField`` has
-its own copy of the loop with the right-hand side written out, which
-checks finiteness once per chunk of steps instead of once per step; the
-same operations again, so the same bits.
+The RK4 loops step four Python floats.  Numpy 4-vectors and a 4x4 matvec per
+stage cost about ten times as much per step in interpreter overhead.  The
+float loops do the same IEEE operations in the same order (the matvec's zero
+products drop out exactly), so their trajectories are bit-identical to the
+vector form's.  ``integrate`` steps both fields, ``LinearField`` and
+``PotentialField``, in one loop written out for the companion form: each
+stage's derivative is (x1, x2, x3, m30 * x0 + m32 * x2), plus V'(x0) or
+W'(x2) when a potential is given, and the loop checks finiteness once per
+chunk of steps instead of once per step.  ``_rk4`` takes any right-hand side
+``rhs(x0, x1, x2, x3) -> (f0, f1, f2, f3)``; it steps the (x, y) system of
+``two_route_max_error``.
 """
 from __future__ import annotations
 
@@ -119,15 +121,14 @@ def parse_potential(text: str, kind: str = "on_q") -> Potential:
 # ---------------------------------------------------------------------------
 
 class LinearField:
-    """dv/dt = M v."""
+    """dv/dt = M v for the companion matrix M: (x1, x2, x3, m30 x0 + m32 x2)."""
+
+    pot = None
 
     def __init__(self, p: PuParams):
         self.p = p
         m = companion_field(p)
         self._m30, self._m32 = float(m[3, 0]), float(m[3, 2])
-
-    def rhs(self, x0: float, x1: float, x2: float, x3: float) -> tuple[float, float, float, float]:
-        return x1, x2, x3, self._m30 * x0 + self._m32 * x2
 
 
 class PotentialField(LinearField):
@@ -136,15 +137,6 @@ class PotentialField(LinearField):
     def __init__(self, p: PuParams, pot: Potential):
         super().__init__(p)
         self.pot = pot
-        # a closure over locals: the RK4 loop calls it four times a step
-        m30, m32, dv = self._m30, self._m32, pot.derivative
-        if pot.kind == "on_q":
-            def rhs(x0, x1, x2, x3):
-                return x1, x2, x3, m30 * x0 + m32 * x2 + dv(x0)
-        else:
-            def rhs(x0, x1, x2, x3):
-                return x1, x2, x3, m30 * x0 + m32 * x2 + dv(x2)
-        self.rhs = rhs
 
 
 # rows of a trajectory whose derived columns (charges, potential) are held
@@ -230,42 +222,73 @@ def _rk4(rhs, v0, h: float, n_steps: int) -> np.ndarray:
     return states
 
 
-def _rk4_linear(m30: float, m32: float, v0, h: float, n_steps: int) -> np.ndarray:
-    """``_rk4`` for ``LinearField``, whose derivative of (x0, x1, x2, x3) is
-    (x1, x2, x3, m30 * x0 + m32 * x2).  Stage k's derivative is the next
-    stage's input shifted by one, so u, y and z below are the inputs of
-    stages 2-4 and their first three entries the derivatives of stages 1-3.
-    Float arithmetic cannot raise here, so a chunk runs to its end and a
-    non-finite state is found in the written rows: the same first one the
-    per-step test finds, since earlier rows are finite."""
+def _rk4_companion(field: LinearField, v0, h: float, n_steps: int) -> np.ndarray:
+    """``_rk4`` for a ``LinearField`` or ``PotentialField``, whose derivative
+    of (x0, x1, x2, x3) is (x1, x2, x3, m30 * x0 + m32 * x2 + dv), dv the
+    potential's derivative at x0 (on_q) or x2 (on_qdd).  Stage k's
+    derivative is the next stage's input shifted by one, so u, y and z below
+    are the inputs of stages 2-4 and their first three entries the
+    derivatives of stages 1-3.  A chunk runs to its end and a non-finite
+    state is found in the written rows: the same first one the per-step test
+    finds, since earlier rows are finite.  An exception stops the chunk; after
+    a non-finite row it is that row's divergence, and before one an
+    OverflowError is the step's own."""
     states, flat, (w0, w1, w2, w3) = _start(v0, n_steps)
+    m30, m32, pot = field._m30, field._m32, field.pot
+    dv = None if pot is None else pot.derivative
+    on_qdd = pot is not None and pot.kind == "on_qdd"
     hh, h6 = 0.5 * h, h / 6.0
     rows = []
     for start in range(0, n_steps, _CHUNK):
         stop = min(start + _CHUNK, n_steps)
-        for _ in range(start, stop):
-            a3 = m30 * w0 + m32 * w2
-            u0, u1, u2, u3 = w0 + hh * w1, w1 + hh * w2, w2 + hh * w3, w3 + hh * a3
-            b3 = m30 * u0 + m32 * u2
-            y0, y1, y2, y3 = w0 + hh * u1, w1 + hh * u2, w2 + hh * u3, w3 + hh * b3
-            c3 = m30 * y0 + m32 * y2
-            z0, z1, z2, z3 = w0 + h * y1, w1 + h * y2, w2 + h * y3, w3 + h * c3
-            d3 = m30 * z0 + m32 * z2
-            w0 = w0 + h6 * (w1 + 2.0 * u1 + 2.0 * y1 + z1)
-            w1 = w1 + h6 * (w2 + 2.0 * u2 + 2.0 * y2 + z2)
-            w2 = w2 + h6 * (w3 + 2.0 * u3 + 2.0 * y3 + z3)
-            w3 = w3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-            rows += w0, w1, w2, w3
+        try:
+            for i in range(start, stop):
+                a3 = m30 * w0 + m32 * w2
+                if dv is not None:
+                    a3 += dv(w2 if on_qdd else w0)
+                u0, u1, u2, u3 = w0 + hh * w1, w1 + hh * w2, w2 + hh * w3, w3 + hh * a3
+                b3 = m30 * u0 + m32 * u2
+                if dv is not None:
+                    b3 += dv(u2 if on_qdd else u0)
+                y0, y1, y2, y3 = w0 + hh * u1, w1 + hh * u2, w2 + hh * u3, w3 + hh * b3
+                c3 = m30 * y0 + m32 * y2
+                if dv is not None:
+                    c3 += dv(y2 if on_qdd else y0)
+                z0, z1, z2, z3 = w0 + h * y1, w1 + h * y2, w2 + h * y3, w3 + h * c3
+                d3 = m30 * z0 + m32 * z2
+                if dv is not None:
+                    d3 += dv(z2 if on_qdd else z0)
+                w0 = w0 + h6 * (w1 + 2.0 * u1 + 2.0 * y1 + z1)
+                w1 = w1 + h6 * (w2 + 2.0 * u2 + 2.0 * y2 + z2)
+                w2 = w2 + h6 * (w3 + 2.0 * u3 + 2.0 * y3 + z3)
+                w3 = w3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+                rows += w0, w1, w2, w3
+        except Exception as exc:
+            # float ** n raises OverflowError where numpy's float64 returned
+            # inf, and math.sin(inf) a ValueError
+            flat[4 * start + 4:4 * i + 4] = rows
+            _raise_if_diverged(start, i, h, states)
+            if isinstance(exc, OverflowError):
+                raise _diverged(i, h, states) from None
+            raise
         flat[4 * start + 4:4 * stop + 4] = rows
         rows.clear()
-        finite = np.isfinite(states[start + 1:stop + 1]).all(axis=1)
-        if not finite.all():
-            raise _diverged(start + int(np.argmin(finite)), h, states)
+        _raise_if_diverged(start, stop, h, states)
     return states
 
 
-def integrate(field, v0: PhaseState, h: float, t_end: float) -> Trajectory:
-    """Classical fixed-step RK4 from t = 0 to t_end (inclusive grid)."""
+def _raise_if_diverged(start: int, stop: int, h: float, states: np.ndarray) -> None:
+    """Raise the divergence at the first non-finite row of steps start..stop - 1."""
+    finite = np.isfinite(states[start + 1:stop + 1]).all(axis=1)
+    if not finite.all():
+        raise _diverged(start + int(np.argmin(finite)), h, states)
+
+
+def integrate(field: LinearField, v0: PhaseState, h: float, t_end: float) -> Trajectory:
+    """Classical fixed-step RK4 from t = 0 over n = round(t_end / h) steps of
+    h, rounded half to even: the grid is k * h for k = 0..n.  Its last time
+    is n * h, not t_end, where h does not divide t_end: h = 0.6 and
+    t_end = 1 end at t = 1.2, and h = 0.4 (2.5 steps) at t = 0.8."""
     if not 0.0 < h < math.inf:
         raise InvalidInputError("step size h must be positive and finite")
     if not h <= t_end < math.inf:
@@ -274,10 +297,7 @@ def integrate(field, v0: PhaseState, h: float, t_end: float) -> Trajectory:
         raise InvalidInputError(f"cannot take {t_end / h:.12g} steps, at most {MAX_STEPS}: "
                                 "raise h or lower t_end")
     n_steps = int(round(t_end / h))
-    if type(field) is LinearField:
-        states = _rk4_linear(field._m30, field._m32, v0.as_array(), h, n_steps)
-    else:
-        states = _rk4(field.rhs, v0.as_array(), h, n_steps)
+    states = _rk4_companion(field, v0.as_array(), h, n_steps)
     times = np.arange(n_steps + 1) * h
     return Trajectory(times=times, states=states)
 

@@ -373,6 +373,14 @@ class TestSimulateCommand:
         last = dict(zip(lines[0].split(","), lines[-1].split(",")))
         assert float(first["Hint"]) == pytest.approx(float(last["Hint"]), abs=1e-8)
 
+    @pytest.mark.parametrize("h, times", [("0.6", [0.0, 0.6, 1.2]), ("0.4", [0.0, 0.4, 0.8])])
+    def test_grid_is_rounded_steps_of_h(self, h, times):
+        # round(1 / 0.6) = 2 steps end past t_end, round(2.5) = 2 before it
+        r = run_cli("simulate", "--omega1", "2", "--omega2", "1", "--A1", "0.3",
+                    "--h", h, "--t-end", "1")
+        assert r.returncode == 0
+        assert [float(line.split(",")[0]) for line in r.stdout.splitlines()[1:]] == times
+
     @pytest.mark.parametrize("t_end", ["1", "1e10"])
     def test_unholdable_step_count_is_a_domain_error(self, t_end):
         # 1e300 steps are more than numpy can shape; 1e310 overflows to inf

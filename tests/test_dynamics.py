@@ -214,6 +214,20 @@ def vector_rk4(p, pot, w, h, n_steps):
     return states, None
 
 
+def _companion_rhs(p, pot):
+    """The scalar right-hand side of LinearField (pot None) or PotentialField,
+    for the generic loop: (x1, x2, x3, m30 x0 + m32 x2 + V'(x0) or W'(x2))."""
+    m = companion_field(p)
+    m30, m32 = float(m[3, 0]), float(m[3, 2])
+
+    def rhs(x0, x1, x2, x3):
+        f3 = m30 * x0 + m32 * x2
+        if pot is not None:
+            f3 += pot.derivative(x0 if pot.kind == "on_q" else x2)
+        return x1, x2, x3, f3
+    return rhs
+
+
 class TestScalarLoop:
     """integrate steps four floats; its trajectories must equal the vector
     form's bit for bit, across the chunked writes into the state array."""
@@ -231,19 +245,38 @@ class TestScalarLoop:
         assert traj.states.shape == (n_steps + 1, 4)
         assert np.array_equal(traj.states, want)
 
-    @pytest.mark.parametrize("h", [1.0, 0.05], ids=["first-chunk", "later-chunk"])
-    def test_linear_loop_diverges_where_the_generic_loop_does(self, h):
-        # the linear loop tests finiteness once per chunk, the generic loop
-        # once per step
+    @pytest.mark.parametrize("h, pot", [
+        pytest.param(h, pot, id=chunk + name)
+        for name, pot in [("", None), ("-quartic-on_q", quartic_potential(1e-100)),
+                          ("-quartic-on_qdd", quartic_potential(1e-100, kind="on_qdd")),
+                          ("-cosine", cosine_potential())]
+        for chunk, h in [("first-chunk", 1.0), ("later-chunk", 0.05)]])
+    def test_linear_loop_diverges_where_the_generic_loop_does(self, h, pot):
+        # the companion loop tests finiteness once per chunk, the generic
+        # loop once per step.  The quartic orbits overflow x ** 3 with an
+        # OverflowError, past the first chunk at h = 0.05 for lam = 1e-100;
+        # the cosine orbit reaches inf without one, and the
+        # steps after it call math.sin(inf), which raises ValueError
         p = PuParams(0.0, -1.0)  # real exponential branch
         v0 = PhaseState(1, 1, 1, 1)
         with pytest.raises(DivergenceError) as generic:
-            _rk4(LinearField(p).rhs, v0.as_array(), h, round(800.0 / h))
-        with pytest.raises(DivergenceError) as linear:
-            integrate(LinearField(p), v0, h, 800.0)
-        assert (len(linear.value.states) < 1024) == (h == 1.0)
-        assert linear.value.t_reached == generic.value.t_reached
-        assert linear.value.states.tobytes() == generic.value.states.tobytes()
+            _rk4(_companion_rhs(p, pot), v0.as_array(), h, round(800.0 / h))
+        field = LinearField(p) if pot is None else PotentialField(p, pot)
+        with pytest.raises(DivergenceError) as companion:
+            integrate(field, v0, h, 800.0)
+        assert (len(companion.value.states) < 1024) == (h == 1.0)
+        assert companion.value.t_reached == generic.value.t_reached
+        assert companion.value.states.tobytes() == generic.value.states.tobytes()
+
+    def test_exception_before_a_non_finite_row_is_not_divergence(self, p54):
+        def derivative(x):
+            if x > 1.3:  # past the points the Potential checks
+                raise ZeroDivisionError("refused")
+            return x
+
+        pot = Potential("on_q", lambda x: x * x / 2.0, derivative, "refusing")
+        with pytest.raises(ZeroDivisionError, match="refused"):
+            integrate(PotentialField(p54, pot), PhaseState(0.4, 3, 0, 0), 0.01, 20.0)
 
     def test_signed_zeros_step_like_the_matvec(self):
         # a matvec never returns -0.0; at alpha < 0 a -0.0 initial entry
