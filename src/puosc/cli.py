@@ -244,7 +244,7 @@ def _cells(x):
     tables = _tables()
     cells = np.empty((x.size, 4), "<u8")
     cells[:, 1] = 0  # byte 8 stays NUL where no whole digit is copied in
-    cells[:, 3] = np.take(tables.exps, i)
+    cells[:, 3] = np.take(tables.exps, i)  # before the body's last two bytes fill its bytes 0-1
     # the digits, moved one right past the whole ones to make room for the dot
     out = cells.view(np.uint8)
     digits = words.view(np.uint8)[:, :17]
@@ -254,6 +254,7 @@ def _cells(x):
     for j in range(whole.max()):
         np.copyto(body[:, j], digits[:, j], where=whole > j)
     del words, digits
+    # the lead once the digit words are gone, so their temporaries never meet
     cells[:, 0] = np.take(tables.leads, i)
     out[:, 0] |= np.signbit(x) * np.uint8(45)  # "-"
     dot = (kept > whole) & (whole > 0)
